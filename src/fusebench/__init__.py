@@ -41,8 +41,10 @@ from .model import (
     ExpertStream,
     FramePrediction,
     FrameTruth,
+    PredictionColumns,
     SequenceAnnotation,
     Subset,
+    TruthColumns,
     center,
     make_box,
 )

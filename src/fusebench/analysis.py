@@ -139,6 +139,21 @@ def compositional_eval(
     )
 
 
+def _average_ranks(values: Sequence[float]) -> list[float]:
+    """1-based ascending ranks; tied values share the mean of their positions."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    while start < len(order):
+        end = start
+        while end + 1 < len(order) and values[order[end + 1]] == values[order[start]]:
+            end += 1
+        for i in order[start : end + 1]:
+            ranks[i] = (start + end) / 2.0 + 1.0
+        start = end + 1
+    return ranks
+
+
 def balanced_indicators(
     rows: Sequence[tuple[str, float, float, float]],
     metric: str = "PR",
@@ -148,8 +163,6 @@ def balanced_indicators(
     ``rows`` holds ``(benchmark, rgbt, rgb, tir)`` scores (any common
     scale, e.g. percents); all scores must be strictly positive.
     """
-    from scipy.stats import rankdata  # deferred: scipy dominates import time
-
     if not rows:
         raise FusebenchError("balanced indicators need at least one benchmark row")
     for name, rgbt, rgb, tir in rows:
@@ -158,8 +171,8 @@ def balanced_indicators(
                 raise NonPositiveScoreError(f"{name}: {label} score must be positive, got {v!r}")
     gaps_fusion = [100.0 * (1.0 - tir / rgbt) for _, rgbt, _, tir in rows]
     gaps_modality = [100.0 * (1.0 - tir / rgb) for _, _, rgb, tir in rows]
-    rank_fusion = rankdata([-g for g in gaps_fusion], method="average")
-    rank_modality = rankdata(gaps_modality, method="average")
+    rank_fusion = _average_ranks([-g for g in gaps_fusion])
+    rank_modality = _average_ranks(gaps_modality)
     out = tuple(
         BalancedIndicatorRow(
             benchmark=name,
@@ -168,9 +181,9 @@ def balanced_indicators(
             tir=float(tir),
             gap_fusion=gaps_fusion[i],
             gap_modality=gaps_modality[i],
-            rank_fusion=float(rank_fusion[i]),
-            rank_modality=float(rank_modality[i]),
-            mean_rank=(float(rank_fusion[i]) + float(rank_modality[i])) / 2.0,
+            rank_fusion=rank_fusion[i],
+            rank_modality=rank_modality[i],
+            mean_rank=(rank_fusion[i] + rank_modality[i]) / 2.0,
         )
         for i, (name, rgbt, rgb, tir) in enumerate(rows)
     )

@@ -2,15 +2,13 @@
 
 Every subcommand is a thin delegator over the library; no metric or fusion
 logic lives here. Exit codes: 0 success, 1 an ``--expect`` check failed,
-2 bad invocation, 3 data error (parse failures, missing files, length
-mismatches).
+2 bad invocation, 3 data error (parse failures, unreadable or missing
+files, length mismatches), reported as one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv as csv_mod
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -166,38 +164,8 @@ def cmd_simulate(args) -> tuple[dict[str, float], int]:
     return values, 0
 
 
-def _read_balanced_rows(path: str) -> list[tuple[str, float, float, float]]:
-    rows: list[tuple[str, float, float, float]] = []
-    with open(path, newline="") as fh:
-        for line_no, record in enumerate(csv_mod.reader(fh), start=1):
-            if not record or not "".join(record).strip():
-                continue
-            if len(record) != 4:
-                raise FusebenchError(f"line {line_no}: expected 4 columns, got {len(record)}")
-            name, *scores = [c.strip() for c in record]
-            if line_no == 1 and not _is_number(scores[0]):
-                expected = ["benchmark", "rgbt", "rgb", "tir"]
-                if [name.lower(), *[s.lower() for s in scores]] != expected:
-                    raise FusebenchError(f"line 1: header must be {','.join(expected)}")
-                continue
-            try:
-                rgbt, rgb, tir = (float(s) for s in scores)
-            except ValueError:
-                raise FusebenchError(f"line {line_no}: scores must be numbers") from None
-            rows.append((name, rgbt, rgb, tir))
-    return rows
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
-
-
 def cmd_analyze(args) -> tuple[dict[str, float], int]:
-    rows = _read_balanced_rows(args.table)
+    rows = fio.load_score_table(args.table)
     table = balanced_indicators(rows, metric=args.metric)
     _emit(export_report(table, args.format), args.out)
     values: dict[str, float] = {}
@@ -268,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         values, status = args.func(args)
-    except (FusebenchError, FileNotFoundError, NotADirectoryError, json.JSONDecodeError) as exc:
+    except (FusebenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if status != 0:

@@ -28,21 +28,34 @@ Config (JSON)
 Results directory
     One prediction file per sequence, named ``<sequence id>.txt``, with
     optional ``<sequence id>.txt.conf`` sidecars.
+
+Score table (CSV)
+    ``benchmark,rgbt,rgb,tir`` rows, one per benchmark, with an optional
+    header row; input to the balanced-benchmark indicators.
+
+Box files and sidecars are parsed into validated columns
+(:class:`~fusebench.model.TruthColumns`,
+:class:`~fusebench.model.PredictionColumns`). Every file is read as UTF-8;
+errors raised while reading a file name it.
 """
 
 from __future__ import annotations
 
+import csv
+import functools
 import json
+import math
 import re
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
+
+import numpy as np
 
 from .errors import (
     ConfigError,
-    DuplicateSequenceIdError,
     FusebenchError,
-    LengthMismatchError,
     MalformedLineError,
     NegativeExtentError,
     UnknownKeyError,
@@ -55,8 +68,10 @@ from .model import (
     ExpertStream,
     FramePrediction,
     FrameTruth,
+    PredictionColumns,
     SequenceAnnotation,
     Subset,
+    TruthColumns,
 )
 from .simulate import (
     DegradationProfile,
@@ -75,6 +90,7 @@ __all__ = [
     "load_results",
     "load_expert_stream",
     "load_config",
+    "load_score_table",
     "metric_config_from_dict",
     "scenario_config_from_dict",
     "bundled_scenario_names",
@@ -83,8 +99,22 @@ __all__ = [
 
 _SEP = re.compile(r"[,\s]+")
 
+# Box files and sidecars are parsed in bulk: the whole text is split into
+# fields and converted by ``float`` in one pass, then checked as an array.
+# Only a file that fails those checks is parsed again line by line, to
+# raise the error of its first bad line with the line number.
 
-def _parse_line(line: str, line_no: int) -> tuple[float, float, float, float]:
+
+def _finite_floats(fields: list[str]) -> np.ndarray | None:
+    """The fields as a float64 array, or None if any is not a finite number."""
+    try:
+        values = np.array(list(map(float, fields)), dtype=np.float64)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _check_box_line(line: str, line_no: int) -> None:
     parts = [p for p in _SEP.split(line.strip()) if p]
     if len(parts) != 4:
         raise MalformedLineError(f"expected 4 fields, got {len(parts)}", line_no)
@@ -94,46 +124,102 @@ def _parse_line(line: str, line_no: int) -> tuple[float, float, float, float]:
             v = float(p)
         except ValueError:
             raise MalformedLineError(f"not a number: {p!r}", line_no) from None
-        if v != v or v in (float("inf"), float("-inf")):
+        if not math.isfinite(v):
             raise MalformedLineError(f"non-finite value: {p!r}", line_no)
         values.append(v)
-    return tuple(values)  # type: ignore[return-value]
+    x, y, w, h = values
+    if (x or y or w or h) and (w < 0 or h < 0):
+        raise NegativeExtentError(f"line {line_no}: negative extent w={w}, h={h}", line_no)
 
 
-def _iter_rows(text: str):
+def _check_confidence_line(line: str, line_no: int) -> None:
+    try:
+        v = float(line.strip())
+    except ValueError:
+        raise MalformedLineError(f"not a number: {line.strip()!r}", line_no) from None
+    if not math.isfinite(v):
+        raise MalformedLineError(f"non-finite confidence: {line.strip()!r}", line_no)
+
+
+def _raise_first_error(text: str, check_line) -> NoReturn:
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        yield line_no, _parse_line(line, line_no)
+        if line.strip():
+            check_line(line, line_no)
+    raise AssertionError("unreachable: a file that fails the bulk parse has a bad line")
+
+
+def _box_values(text: str) -> np.ndarray:
+    """``(n, 4)`` rows of a groundtruth/prediction file; fields are split on
+    any run of commas and whitespace, blank lines are skipped."""
+    canon = text.replace(",", " ")
+    counts = list(map(len, map(str.split, canon.splitlines())))
+    # a blank line is whitespace only: a line of commas has 0 fields but is an error
+    if counts.count(4) == len(counts) or all(
+        n == 4 or not line.strip() for n, line in zip(counts, text.splitlines())
+    ):
+        values = _finite_floats(canon.split())
+        if values is not None:
+            rows = values.reshape(-1, 4)
+            if not ((rows[:, 2:] < 0.0).any(axis=1) & rows.any(axis=1)).any():
+                return rows
+    _raise_first_error(text, _check_box_line)
+
+
+def _confidence_values(text: str) -> np.ndarray:
+    """``(n,)`` values of a confidence sidecar, one per non-blank line."""
+    fields = text.split()
+    # every non-blank line holds a field, so equal counts mean one per line
+    if len(fields) == sum(1 for line in text.splitlines() if line.strip()):
+        values = _finite_floats(fields)
+        if values is not None:
+            return values
+    _raise_first_error(text, _check_confidence_line)
+
+
+@contextmanager
+def _reading(path: Path):
+    """Name ``path`` in the errors raised while reading it.
+
+    Toolkit errors keep their class and gain a ``<path>: `` prefix; text
+    that is not UTF-8 or not JSON becomes a :class:`FusebenchError`.
+    """
+    try:
+        yield
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FusebenchError(f"{path}: {exc}") from None
+    except FusebenchError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _read_text(path: Path) -> str:
+    return path.read_text(encoding="utf-8")
+
+
+def _truth_columns(text: str) -> TruthColumns:
+    boxes = _box_values(text)
+    return TruthColumns(boxes, boxes.any(axis=1))
+
+
+def _load_predictions(path: Path, conf_path: Path | None) -> PredictionColumns:
+    with _reading(path):
+        boxes = _box_values(_read_text(path))
+    conf = None
+    if conf_path is not None:
+        with _reading(conf_path):
+            conf = _confidence_values(_read_text(conf_path))
+    with _reading(path):
+        return PredictionColumns(boxes, boxes.any(axis=1), conf)
 
 
 def parse_groundtruth(text: str) -> list[FrameTruth]:
     """Parse a groundtruth file; all-zero rows become absent frames."""
-    frames: list[FrameTruth] = []
-    for line_no, (x, y, w, h) in _iter_rows(text):
-        if x == 0 and y == 0 and w == 0 and h == 0:
-            frames.append(FrameTruth.absent())
-            continue
-        if w < 0 or h < 0:
-            raise NegativeExtentError(f"line {line_no}: negative extent w={w}, h={h}", line_no)
-        frames.append(FrameTruth.present(Box(x, y, w, h)))
-    return frames
+    return list(_truth_columns(text))
 
 
 def parse_confidences(text: str) -> list[float]:
     """Parse a confidence sidecar: one finite real per non-blank line."""
-    values: list[float] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            v = float(line.strip())
-        except ValueError:
-            raise MalformedLineError(f"not a number: {line.strip()!r}", line_no) from None
-        if v != v or v in (float("inf"), float("-inf")):
-            raise MalformedLineError(f"non-finite confidence: {line.strip()!r}", line_no)
-        values.append(v)
-    return values
+    return _confidence_values(text).tolist()
 
 
 def parse_predictions(text: str, confidences: str | None = None) -> list[FramePrediction]:
@@ -142,22 +228,9 @@ def parse_predictions(text: str, confidences: str | None = None) -> list[FramePr
     All-zero rows become declared absences; confidences are attached
     positionally and must match the prediction count.
     """
-    preds: list[FramePrediction] = []
-    for line_no, (x, y, w, h) in _iter_rows(text):
-        if x == 0 and y == 0 and w == 0 and h == 0:
-            preds.append(FramePrediction.absent())
-            continue
-        if w < 0 or h < 0:
-            raise NegativeExtentError(f"line {line_no}: negative extent w={w}, h={h}", line_no)
-        preds.append(FramePrediction(Box(x, y, w, h)))
-    if confidences is not None:
-        conf = parse_confidences(confidences)
-        if len(conf) != len(preds):
-            raise LengthMismatchError(
-                f"{len(preds)} predictions but {len(conf)} confidence values"
-            )
-        preds = [FramePrediction(p.box, c) for p, c in zip(preds, conf)]
-    return preds
+    boxes = _box_values(text)
+    conf = None if confidences is None else parse_confidences(confidences)
+    return list(PredictionColumns(boxes, boxes.any(axis=1), conf))
 
 
 def _format_row(box: Box | None) -> str:
@@ -200,7 +273,8 @@ def _check_keys(d: Mapping, allowed: set[str], where: str) -> None:
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Load a manifest and eagerly parse every referenced groundtruth file."""
     path = Path(path)
-    raw = json.loads(path.read_text() or "{}")
+    with _reading(path):
+        raw = json.loads(_read_text(path) or "{}")
     if not isinstance(raw, dict):
         raise ConfigError(f"manifest {path} must hold a JSON object")
     _check_keys(raw, {"name", "sequences"}, f"manifest {path.name}")
@@ -210,7 +284,6 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     sequences: list[SequenceAnnotation] = []
     paths: dict[str, str] = {}
-    seen: set[str] = set()
     for entry in entries:
         if not isinstance(entry, dict):
             raise ConfigError(f"manifest {path}: sequence entries must be objects")
@@ -220,17 +293,15 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             gt_rel = str(entry["groundtruth"])
         except KeyError as exc:
             raise ConfigError(f"manifest {path}: sequence entry missing {exc}") from None
-        if sid in seen:
-            raise DuplicateSequenceIdError(f"duplicate sequence id {sid!r}")
-        seen.add(sid)
         tag = entry.get("subset", "none")
-        if tag not in _SUBSET_TAGS:
+        if not isinstance(tag, str) or tag not in _SUBSET_TAGS:
             raise ConfigError(f"manifest {path}: unknown subset tag {tag!r}")
         gt_path = path.parent / gt_rel
         if not gt_path.is_file():
             raise FileNotFoundError(f"groundtruth file for sequence {sid!r} not found: {gt_path}")
-        frames = parse_groundtruth(gt_path.read_text())
-        sequences.append(SequenceAnnotation(id=sid, frames=tuple(frames), subset=_SUBSET_TAGS[tag]))
+        with _reading(gt_path):
+            frames = _truth_columns(_read_text(gt_path))
+        sequences.append(SequenceAnnotation(id=sid, frames=frames, subset=_SUBSET_TAGS[tag]))
         paths[sid] = str(gt_path)
     return DatasetManifest(tuple(sequences), name=str(raw.get("name", "")), paths=paths)
 
@@ -239,28 +310,27 @@ def load_results(
     manifest: DatasetManifest,
     results_dir: str | Path,
     with_confidence: bool = False,
-) -> dict[str, list[FramePrediction]]:
+) -> dict[str, PredictionColumns]:
     """Load one prediction file per manifest sequence from a directory.
 
     Files are ``<sequence id>.txt`` with optional ``.conf`` sidecars
-    (required when ``with_confidence`` is set).
+    (required when ``with_confidence`` is set). Each sequence's
+    predictions are returned as :class:`PredictionColumns`.
     """
     results_dir = Path(results_dir)
-    out: dict[str, list[FramePrediction]] = {}
+    out: dict[str, PredictionColumns] = {}
     for seq in manifest.sequences:
         pred_path = results_dir / f"{seq.id}.txt"
         if not pred_path.is_file():
             raise FileNotFoundError(f"prediction file for sequence {seq.id!r} not found: {pred_path}")
         conf_path = Path(str(pred_path) + ".conf")
-        conf_text: str | None = None
-        if conf_path.is_file():
-            conf_text = conf_path.read_text()
-        elif with_confidence:
-            raise FileNotFoundError(f"confidence sidecar for sequence {seq.id!r} not found: {conf_path}")
-        try:
-            out[seq.id] = parse_predictions(pred_path.read_text(), conf_text)
-        except FusebenchError as exc:
-            raise FusebenchError(f"{pred_path.name}: {exc}") from exc
+        if not conf_path.is_file():
+            if with_confidence:
+                raise FileNotFoundError(
+                    f"confidence sidecar for sequence {seq.id!r} not found: {conf_path}"
+                )
+            conf_path = None
+        out[seq.id] = _load_predictions(pred_path, conf_path)
     return out
 
 
@@ -272,7 +342,7 @@ def load_expert_stream(path: str | Path, expert: Expert | str, conf_path: str | 
         raise FileNotFoundError(f"prediction file not found: {path}")
     if not conf_path.is_file():
         raise FileNotFoundError(f"confidence sidecar not found: {conf_path}")
-    preds = parse_predictions(path.read_text(), conf_path.read_text())
+    preds = _load_predictions(path, conf_path)
     return ExpertStream(expert=Expert(expert), predictions=tuple(preds))
 
 
@@ -305,14 +375,26 @@ _PROFILE_KEYS = {"intervals", "fraction", "sigma_in", "behavior", "confidence_no
 _FUSED_KEYS = {"informative_weight", "boost", "confidence_noise"}
 
 
+def _config_errors(build):
+    """Report a config value of the wrong type or form as a ConfigError."""
+
+    @functools.wraps(build)
+    def wrapper(d: Mapping):
+        try:
+            return build(d)
+        except FusebenchError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
+
+    return wrapper
+
+
+@_config_errors
 def metric_config_from_dict(d: Mapping) -> MetricConfig:
     """Build a MetricConfig from parsed JSON; unknown keys are rejected."""
     _check_keys(d, _METRIC_KEYS, "metrics config")
-    kwargs = {k: v for k, v in d.items() if k != "kind"}
-    try:
-        return MetricConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return MetricConfig(**{k: v for k, v in d.items() if k != "kind"})
 
 
 def _profile_from_dict(d: Mapping, target: Expert) -> DegradationProfile:
@@ -320,12 +402,10 @@ def _profile_from_dict(d: Mapping, target: Expert) -> DegradationProfile:
     kwargs = dict(d)
     if "intervals" in kwargs and kwargs["intervals"] is not None:
         kwargs["intervals"] = tuple(tuple(iv) for iv in kwargs["intervals"])
-    try:
-        return DegradationProfile(target=target, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return DegradationProfile(target=target, **kwargs)
 
 
+@_config_errors
 def scenario_config_from_dict(d: Mapping) -> ScenarioConfig:
     """Build a ScenarioConfig from parsed JSON; unknown keys are rejected."""
     _check_keys(d, _SCENARIO_KEYS, "scenario config")
@@ -341,28 +421,66 @@ def scenario_config_from_dict(d: Mapping) -> ScenarioConfig:
     if "fused" in d:
         _check_keys(d["fused"], _FUSED_KEYS, "fused quality model")
         kwargs["fused"] = FusedQualityModel(**d["fused"])
-    try:
-        return ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return ScenarioConfig(**kwargs)
 
 
 def load_config(path: str | Path) -> MetricConfig | ScenarioConfig:
     """Load a JSON config file; ``kind`` selects metrics (default) or scenario.
 
-    An empty file yields a default MetricConfig.
+    An empty file yields a default MetricConfig. Errors name the file.
     """
     path = Path(path)
-    text = path.read_text().strip()
-    raw = json.loads(text) if text else {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    kind = raw.get("kind", "metrics")
-    if kind == "metrics":
-        return metric_config_from_dict(raw)
-    if kind == "scenario":
-        return scenario_config_from_dict(raw)
-    raise ConfigError(f"config {path}: unknown kind {kind!r} (use 'metrics' or 'scenario')")
+    with _reading(path):
+        text = _read_text(path).strip()
+        raw = json.loads(text) if text else {}
+        if not isinstance(raw, dict):
+            raise ConfigError("config must hold a JSON object")
+        kind = raw.get("kind", "metrics")
+        if kind == "metrics":
+            return metric_config_from_dict(raw)
+        if kind == "scenario":
+            return scenario_config_from_dict(raw)
+        raise ConfigError(f"unknown config kind {kind!r} (use 'metrics' or 'scenario')")
+
+
+# -- score tables -------------------------------------------------------------
+
+_SCORE_TABLE_HEADER = ["benchmark", "rgbt", "rgb", "tir"]
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+        return True
+    except ValueError:
+        return False
+
+
+def load_score_table(path: str | Path) -> list[tuple[str, float, float, float]]:
+    """Load a ``benchmark,rgbt,rgb,tir`` CSV table of per-benchmark scores.
+
+    The header row is optional; blank rows are skipped. Errors name the
+    file and line.
+    """
+    path = Path(path)
+    rows: list[tuple[str, float, float, float]] = []
+    with _reading(path), path.open(newline="", encoding="utf-8") as fh:
+        for line_no, record in enumerate(csv.reader(fh), start=1):
+            if not record or not "".join(record).strip():
+                continue
+            if len(record) != 4:
+                raise FusebenchError(f"line {line_no}: expected 4 columns, got {len(record)}")
+            name, *scores = [c.strip() for c in record]
+            if line_no == 1 and not _is_number(scores[0]):
+                if [name.lower(), *[s.lower() for s in scores]] != _SCORE_TABLE_HEADER:
+                    raise FusebenchError(f"line 1: header must be {','.join(_SCORE_TABLE_HEADER)}")
+                continue
+            try:
+                rgbt, rgb, tir = (float(s) for s in scores)
+            except ValueError:
+                raise FusebenchError(f"line {line_no}: scores must be numbers") from None
+            rows.append((name, rgbt, rgb, tir))
+    return rows
 
 
 # -- bundled scenarios -------------------------------------------------------

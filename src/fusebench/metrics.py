@@ -48,7 +48,15 @@ from .errors import (
     LengthMismatchError,
     MissingSequenceResultError,
 )
-from .model import Box, DatasetManifest, FramePrediction, FrameTruth, SequenceAnnotation
+from .model import (
+    Box,
+    DatasetManifest,
+    FramePrediction,
+    FrameTruth,
+    PredictionColumns,
+    SequenceAnnotation,
+    TruthColumns,
+)
 
 __all__ = [
     "POOLING_MODES",
@@ -224,7 +232,8 @@ def center_distance(g: FrameTruth, p: FramePrediction) -> float | AbsenceOutcome
     if g.is_present and p.is_present:
         gx, gy = g.box.center()
         px, py = p.box.center()
-        return math.hypot(gx - px, gy - py)
+        dx, dy = gx - px, gy - py
+        return math.sqrt(dx * dx + dy * dy)
     if not g.is_present and not p.is_present:
         return AbsenceOutcome.CORRECT_ABSENCE
     return AbsenceOutcome.WRONG_PREDICTION
@@ -259,27 +268,52 @@ def frame_precision_indicator(g: FrameTruth, p: FramePrediction, th_p: float) ->
     return 1 if d <= th_p else 0
 
 
-def _literal_success_value(g: FrameTruth, p: FramePrediction) -> float:
-    # raw per-frame overlap used by sequence-mean pooling; identical to iou()
-    return iou(g, p)
-
-
-def _literal_precision_value(g: FrameTruth, p: FramePrediction) -> float:
-    # raw per-frame distance; absence frames contribute their correctness
-    # value (1 correct absence, 0 any mismatch) as in the success case
-    d = center_distance(g, p)
-    if d is AbsenceOutcome.CORRECT_ABSENCE:
-        return 1.0
-    if d is AbsenceOutcome.WRONG_PREDICTION:
-        return 0.0
-    return d
-
-
-def _check_pair(gt_frames: Sequence[FrameTruth], pred: Sequence[FramePrediction], what: str) -> None:
+def _check_pair(gt_frames: Sequence, pred: Sequence, what: str) -> None:
     if len(gt_frames) != len(pred):
         raise LengthMismatchError(
             f"{what}: {len(gt_frames)} ground-truth frames vs {len(pred)} predictions"
         )
+
+
+def _py_max(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray:
+    # Python's max(a, b): b only where b > a, so ties (and signed zeros)
+    # resolve exactly as in the scalar functions
+    return np.where(b > a, b, a)
+
+
+def _py_min(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray:
+    return np.where(b < a, b, a)
+
+
+def _frame_values(
+    gt: TruthColumns, pred: PredictionColumns
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-frame overlap, centre distance and correct-absence mask.
+
+    Each value equals the scalar :func:`iou` / :func:`center_distance`
+    bit for bit, being the same float operations in the same order. The
+    distance is NaN, which passes no threshold, on every frame where
+    either side is absent.
+    """
+    g, p = gt.boxes, pred.boxes
+    both = gt.present & pred.present
+    correct_absence = ~(gt.present | pred.present)
+
+    def overlap(lo_a, len_a, lo_b, len_b):
+        o = _py_max(lo_a, lo_b)
+        return _py_max(0.0, _py_min((lo_a - o) + len_a, (lo_b - o) + len_b))
+
+    inter = overlap(g[:, 0], g[:, 2], p[:, 0], p[:, 2]) * overlap(g[:, 1], g[:, 3], p[:, 1], p[:, 3])
+    union = g[:, 2] * g[:, 3] + p[:, 2] * p[:, 3] - inter
+    positive = union > 0.0
+    ratio = np.divide(inter, union, out=np.zeros_like(inter), where=positive)
+    ratio = _py_min(1.0, _py_max(0.0, ratio))
+    iou_values = np.where(both & positive, ratio, np.where(correct_absence, 1.0, 0.0))
+
+    dx = (g[:, 0] + g[:, 2] / 2.0) - (p[:, 0] + p[:, 2] / 2.0)
+    dy = (g[:, 1] + g[:, 3] / 2.0) - (p[:, 1] + p[:, 3] / 2.0)
+    distance = np.where(both, np.sqrt(dx * dx + dy * dy), np.nan)
+    return iou_values, distance, correct_absence
 
 
 def sequence_score(
@@ -295,55 +329,39 @@ def sequence_score(
     selects frame-indicator averaging (default) or the sequence-mean
     variant that binarizes the mean raw metric.
     """
-    frames = gt.frames if isinstance(gt, SequenceAnnotation) else tuple(gt)
+    frames = TruthColumns.from_frames(gt.frames if isinstance(gt, SequenceAnnotation) else gt)
+    pred = PredictionColumns.from_frames(pred)
     _check_pair(frames, pred, getattr(gt, "id", "sequence"))
     if kind not in ("success", "precision"):
         raise ConfigError(f"kind must be 'success' or 'precision', got {kind!r}")
     if pooling not in POOLING_MODES:
         raise ConfigError(f"pooling must be one of {POOLING_MODES}, got {pooling!r}")
-
-    t = len(frames)
     if pooling == "frame":
-        if kind == "success":
-            k = sum(frame_success_indicator(g, p, th) for g, p in zip(frames, pred))
-        else:
-            k = sum(frame_precision_indicator(g, p, th) for g, p in zip(frames, pred))
-        return k / t
-    # sequence-mean pooling: binarize the mean raw metric
-    if kind == "success":
-        mean_raw = math.fsum(_literal_success_value(g, p) for g, p in zip(frames, pred)) / t
-        return 1.0 if mean_raw > th else 0.0
-    mean_raw = math.fsum(_literal_precision_value(g, p) for g, p in zip(frames, pred)) / t
-    return 1.0 if mean_raw <= th else 0.0
+        if kind == "success" and not 0.0 <= th <= 1.0:
+            raise ConfigError(f"th_s must lie in [0, 1], got {th}")
+        if kind == "precision" and th < 0.0:
+            raise ConfigError(f"th_p must be non-negative, got {th}")
+    sr, pr = _sequence_curves(frames, pred, np.array([th]), np.array([th]), pooling)
+    return float(sr[0] if kind == "success" else pr[0])
 
 
-def _sequence_arrays(
-    frames: Sequence[FrameTruth], pred: Sequence[FramePrediction]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-frame metric arrays for the vectorized threshold sweep.
-
-    Returns (success values, correct-absence mask, precision distances with
-    +inf on any absence-involved frame, literal precision values).
-    """
-    t = len(frames)
-    sv = np.empty(t)
-    pv = np.empty(t)
-    pl = np.empty(t)
-    ov = np.zeros(t, dtype=bool)
-    for i, (g, p) in enumerate(zip(frames, pred)):
-        sv[i] = iou(g, p)
-        d = center_distance(g, p)
-        if d is AbsenceOutcome.CORRECT_ABSENCE:
-            ov[i] = True
-            pv[i] = np.inf
-            pl[i] = 1.0
-        elif d is AbsenceOutcome.WRONG_PREDICTION:
-            pv[i] = np.inf
-            pl[i] = 0.0
-        else:
-            pv[i] = d
-            pl[i] = d
-    return sv, ov, pv, pl
+def _sequence_curves(
+    gt: TruthColumns, pred: PredictionColumns, ths: np.ndarray, thp: np.ndarray, pooling: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """One sequence's success and precision scores at every threshold."""
+    overlap, distance, correct = _frame_values(gt, pred)
+    t = len(overlap)
+    if pooling == "frame":
+        # integer indicator counts, so the division matches count / t exactly
+        sr_count = ((overlap > ths[:, None]) | correct).sum(axis=1)
+        pr_count = ((distance <= thp[:, None]) | correct).sum(axis=1)
+        return sr_count / t, pr_count / t
+    # sequence-mean pooling binarizes the mean raw metric; absence frames
+    # contribute their correctness value (1 correct absence, 0 otherwise)
+    raw_distance = np.where(np.isnan(distance), correct, distance)
+    mean_s = math.fsum(overlap.tolist()) / t
+    mean_p = math.fsum(raw_distance.tolist()) / t
+    return (mean_s > ths).astype(float), (mean_p <= thp).astype(float)
 
 
 def benchmark_scores(
@@ -357,7 +375,7 @@ def benchmark_scores(
     the per-sequence score. Per-sequence scores are accumulated
     left-to-right in manifest order (plain sequential summation), so
     results are bit-reproducible and independent of any internal
-    parallelism.
+    parallelism. Prediction lists are converted to columns once, here.
     """
     cfg = cfg or MetricConfig()
     ths = np.asarray(cfg.success_thresholds)
@@ -368,20 +386,9 @@ def benchmark_scores(
     for seq in manifest.sequences:
         if seq.id not in results:
             raise MissingSequenceResultError(seq.id)
-        pred = results[seq.id]
+        pred = PredictionColumns.from_frames(results[seq.id])
         _check_pair(seq.frames, pred, seq.id)
-        t = len(seq.frames)
-        sv, ov, pv, pl = _sequence_arrays(seq.frames, pred)
-        if cfg.pooling == "frame":
-            s_ind = (sv[None, :] > ths[:, None]) | ov[None, :]
-            p_ind = (pv[None, :] <= thp[:, None]) | ov[None, :]
-            sr_seq = s_ind.sum(axis=1) / t
-            pr_seq = p_ind.sum(axis=1) / t
-        else:
-            mean_s = math.fsum(sv) / t
-            mean_p = math.fsum(pl) / t
-            sr_seq = (mean_s > ths).astype(float)
-            pr_seq = (mean_p <= thp).astype(float)
+        sr_seq, pr_seq = _sequence_curves(seq.frames, pred, ths, thp, cfg.pooling)
         sr_total += sr_seq
         pr_total += pr_seq
 

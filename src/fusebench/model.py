@@ -17,9 +17,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .errors import (
     DuplicateSequenceIdError,
     FusebenchError,
+    LengthMismatchError,
     MissingConfidenceError,
     NegativeExtentError,
     NonFiniteError,
@@ -31,6 +34,9 @@ __all__ = [
     "Box",
     "FrameTruth",
     "FramePrediction",
+    "FrameColumns",
+    "TruthColumns",
+    "PredictionColumns",
     "SequenceAnnotation",
     "ExpertStream",
     "DatasetManifest",
@@ -160,16 +166,139 @@ class FramePrediction:
         return self.box is None
 
 
+@dataclass(frozen=True, eq=False)
+class FrameColumns:
+    """The frames of one sequence stored column-wise, validated once.
+
+    ``boxes`` is an ``(n, 4)`` float64 array of ``x, y, w, h`` rows and
+    ``present`` an ``(n,)`` bool mask; rows of absent frames are zeroed.
+    Every value must be finite and present rows must have non-negative
+    extents. Both arrays are read-only copies of the input.
+
+    The columns also behave as a read-only sequence of per-frame objects
+    (:class:`TruthColumns` yields :class:`FrameTruth`,
+    :class:`PredictionColumns` yields :class:`FramePrediction`). Those are
+    built on first access and cached; columns made by ``from_frames`` keep
+    the objects they were given. ``len`` never builds them.
+    """
+
+    boxes: np.ndarray
+    present: np.ndarray
+    _frames: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        boxes = np.array(self.boxes, dtype=np.float64).reshape(-1, 4)
+        present = np.array(self.present, dtype=bool).reshape(-1)
+        if len(present) != len(boxes):
+            raise LengthMismatchError(f"{len(boxes)} box rows but {len(present)} presence flags")
+        if not np.isfinite(boxes).all():
+            raise NonFiniteError("box fields must be finite")
+        boxes[~present] = 0.0
+        if (boxes[:, 2:] < 0.0).any():
+            raise NegativeExtentError("box extent must be non-negative")
+        boxes.flags.writeable = False
+        present.flags.writeable = False
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "present", present)
+
+    @classmethod
+    def from_frames(cls, frames):
+        """Columns of a sequence of per-frame objects, which are kept as the
+        cached objects; columns of this type pass through unchanged."""
+        if isinstance(frames, cls):
+            return frames
+        frames = tuple(frames)
+        cols = cls(*cls._columns_of(frames))
+        object.__setattr__(cols, "_frames", frames)
+        return cols
+
+    @classmethod
+    def _columns_of(cls, frames: tuple) -> tuple:
+        zero = (0.0, 0.0, 0.0, 0.0)
+        rows = [zero if (b := f.box) is None else (b.x, b.y, b.w, b.h) for f in frames]
+        return rows, [f.box is not None for f in frames]
+
+    def _box_objects(self) -> list[Box | None]:
+        rows, present = self.boxes.tolist(), self.present.tolist()
+        return [Box(*row) if p else None for row, p in zip(rows, present)]
+
+    def _make_frames(self) -> tuple:
+        raise NotImplementedError
+
+    def _objects(self) -> tuple:
+        """The per-frame objects, built on the first call."""
+        if self._frames is None:
+            object.__setattr__(self, "_frames", self._make_frames())
+        return self._frames
+
+    def __len__(self) -> int:
+        return len(self.present)
+
+    def __getitem__(self, index):
+        return self._objects()[index]
+
+    def __iter__(self):
+        return iter(self._objects())
+
+    def __eq__(self, other):
+        if isinstance(other, (FrameColumns, tuple, list)):
+            return self._objects() == tuple(other)
+        return NotImplemented
+
+
+@dataclass(frozen=True, eq=False)
+class TruthColumns(FrameColumns):
+    """Ground-truth frames as columns; yields :class:`FrameTruth`."""
+
+    def _make_frames(self) -> tuple:
+        return tuple(FrameTruth(b) for b in self._box_objects())
+
+
+@dataclass(frozen=True, eq=False)
+class PredictionColumns(FrameColumns):
+    """Predictions as columns, plus an optional ``(n,)`` column of finite
+    confidences; yields :class:`FramePrediction`."""
+
+    confidence: np.ndarray | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.confidence is not None:
+            conf = np.array(self.confidence, dtype=np.float64).reshape(-1)
+            if len(conf) != len(self):
+                raise LengthMismatchError(f"{len(self)} predictions but {len(conf)} confidence values")
+            if not np.isfinite(conf).all():
+                raise NonFiniteError("prediction confidences must be finite")
+            conf.flags.writeable = False
+            object.__setattr__(self, "confidence", conf)
+
+    @classmethod
+    def _columns_of(cls, preds: tuple) -> tuple:
+        # the confidence column is kept only when every prediction has one
+        conf = [p.confidence for p in preds]
+        return (*super()._columns_of(preds), None if None in conf else conf)
+
+    def _make_frames(self) -> tuple:
+        boxes = self._box_objects()
+        if self.confidence is None:
+            return tuple(FramePrediction(b) for b in boxes)
+        return tuple(FramePrediction(b, c) for b, c in zip(boxes, self.confidence.tolist()))
+
+
 @dataclass(frozen=True)
 class SequenceAnnotation:
-    """Ordered ground-truth frames for one video, plus its subset tag."""
+    """Ordered ground-truth frames for one video, plus its subset tag.
+
+    ``frames`` may be given as any sequence of :class:`FrameTruth`; it is
+    stored as :class:`TruthColumns`.
+    """
 
     id: str
-    frames: tuple[FrameTruth, ...]
+    frames: TruthColumns
     subset: Subset = Subset.UNSPECIFIED
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
+        object.__setattr__(self, "frames", TruthColumns.from_frames(self.frames))
         object.__setattr__(self, "subset", Subset(self.subset))
         if len(self.frames) < 1:
             raise FusebenchError(f"sequence {self.id!r} must contain at least one frame")

@@ -8,12 +8,16 @@ vectorized engine; the tests assert bit-exact agreement.
 
 The raw interval-overlap arithmetic follows the library's documented
 convention (overlap computed in coordinates anchored at the right-most low
-edge, ratio clamped to [0, 1]) so exact float equality is well-defined;
+edge, ratio clamped to [0, 1]), and so does the centre distance (the
+correctly rounded ``sqrt(dx*dx + dy*dy)``), so exact float equality is
+well-defined;
 everything above that level -- totalization, indicators, pooling,
 reductions -- is re-derived here independently.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def ref_box_iou(a, b) -> float:
@@ -45,7 +49,8 @@ def ref_center_distance(g, p):
         return "wrong"
     gx, gy = g.box.x + g.box.w / 2.0, g.box.y + g.box.h / 2.0
     px, py = p.box.x + p.box.w / 2.0, p.box.y + p.box.h / 2.0
-    return ((gx - px) ** 2 + (gy - py) ** 2) ** 0.5
+    dx, dy = gx - px, gy - py
+    return math.sqrt(dx * dx + dy * dy)
 
 
 def ref_success_indicator(g, p, th: float) -> int:

@@ -146,6 +146,14 @@ class TestBalancedIndicators:
             assert row.rank_fusion == 1.5 and row.rank_modality == 1.5
             assert row.mean_rank == 1.5
 
+    def test_three_way_tie_takes_the_mean_position(self):
+        # fusion and modality gaps: a 10, b/c/e 20 (tied), d 5
+        rows = [("a", 10.0, 10.0, 9.0), ("b", 10.0, 10.0, 8.0), ("c", 10.0, 10.0, 8.0),
+                ("d", 10.0, 10.0, 9.5), ("e", 10.0, 10.0, 8.0)]
+        table = balanced_indicators(rows)
+        assert [r.rank_fusion for r in table.rows] == [4.0, 2.0, 2.0, 5.0, 2.0]
+        assert [r.rank_modality for r in table.rows] == [2.0, 4.0, 4.0, 1.0, 4.0]
+
     def test_single_row(self):
         table = balanced_indicators([("only", 9.0, 8.0, 7.0)])
         row = table.rows[0]

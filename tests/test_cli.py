@@ -266,3 +266,64 @@ class TestUsage:
             "--expect", "sr_auc",
         )
         assert proc.returncode == 2
+
+
+def _write(path, data):
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data)
+    return path
+
+
+# name -> (set-up returning (argv, the file the message must name))
+MALFORMED_INPUTS = {
+    "manifest is a directory": lambda d: (
+        ["evaluate", "--manifest", str(d["gt"]), "--results", str(d["results"])], d["gt"]),
+    "manifest is not JSON": lambda d: (
+        ["evaluate", "--manifest", str(_write(d["manifest"], "{nope")), "--results", str(d["results"])],
+        d["manifest"]),
+    "manifest subset tag is a list": lambda d: (
+        ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
+            d["manifest"], json.dumps({"sequences": [{"id": "seq0", "groundtruth": "gt/seq0.txt", "subset": []}]})))],
+        d["manifest"]),
+    "groundtruth not UTF-8": lambda d: (
+        ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"])],
+        _write(d["gt"] / "seq1.txt", b"1,2,3,4\n\xff\xfe\n")),
+    "groundtruth bad line": lambda d: (
+        ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"])],
+        _write(d["gt"] / "seq1.txt", "1,2,3,4\n1,2,x,4\n")),
+    "predictions not UTF-8": lambda d: (
+        ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"])],
+        _write(d["results"] / "seq2.txt", b"\xe9\n")),
+    "metrics config of the wrong type": lambda d: (
+        ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"]),
+         "--config", str(_write(d["root"] / "cfg.json", json.dumps({"success_thresholds": 5})))],
+        d["root"] / "cfg.json"),
+    "scenario config value of the wrong type": lambda d: (
+        ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(
+            d["root"] / "cfg.json", json.dumps({"kind": "scenario", "fused": {"boost": "x"}})))],
+        d["root"] / "cfg.json"),
+    "scenario config section of the wrong type": lambda d: (
+        ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(
+            d["root"] / "cfg.json", json.dumps({"kind": "scenario", "extent": 5, "rgb": 3})))],
+        d["root"] / "cfg.json"),
+    "score table not UTF-8": lambda d: (
+        ["analyze", str(_write(d["root"] / "t.csv", b"benchmark,rgbt,rgb,tir\n\xff,1,2,3\n"))],
+        d["root"] / "t.csv"),
+    "score table is a directory": lambda d: (["analyze", str(d["gt"])], d["gt"]),
+    "score table bad line": lambda d: (
+        ["analyze", str(_write(d["root"] / "t.csv", "benchmark,rgbt,rgb,tir\nA,1,2\n"))],
+        d["root"] / "t.csv"),
+}
+
+
+class TestMalformedInputExitsThree:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_one_line_error_naming_the_file(self, toy_dataset, case):
+        argv, named = MALFORMED_INPUTS[case](toy_dataset)
+        proc = run_cli(*argv)
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert named.name in lines[0], proc.stderr

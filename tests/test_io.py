@@ -1,7 +1,10 @@
 import json
+import math
+import re
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusebench import (
@@ -11,15 +14,20 @@ from fusebench import (
     Expert,
     FramePrediction,
     FrameTruth,
+    FusebenchError,
     LengthMismatchError,
     MalformedLineError,
     MetricConfig,
     NegativeExtentError,
+    PredictionColumns,
     ScenarioConfig,
     Subset,
+    TruthColumns,
     UnknownKeyError,
+    benchmark_scores,
 )
 from fusebench import io as fio
+from conftest import random_benchmark
 
 
 class TestParseGroundtruth:
@@ -231,3 +239,155 @@ class TestBundledScenarios:
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
             fio.bundled_scenario("does-not-exist")
+
+
+# -- bulk parser: same results and errors as a line-by-line reference -------
+
+def reference_parse_boxes(text):
+    """Line-by-line reference parser: fields split on runs of commas and
+    whitespace, blank lines skipped, all-zero rows absent."""
+    rows = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = [p for p in re.split(r"[,\s]+", line.strip()) if p]
+        if len(parts) != 4:
+            raise MalformedLineError(f"expected 4 fields, got {len(parts)}", line_no)
+        values = []
+        for p in parts:
+            try:
+                v = float(p)
+            except ValueError:
+                raise MalformedLineError(f"not a number: {p!r}", line_no) from None
+            if not math.isfinite(v):
+                raise MalformedLineError(f"non-finite value: {p!r}", line_no)
+            values.append(v)
+        x, y, w, h = values
+        if x == 0 and y == 0 and w == 0 and h == 0:
+            rows.append(FrameTruth.absent())
+            continue
+        if w < 0 or h < 0:
+            raise NegativeExtentError(f"line {line_no}: negative extent w={w}, h={h}", line_no)
+        rows.append(FrameTruth.present(Box(x, y, w, h)))
+    return rows
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except FusebenchError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+fields = st.sampled_from(["1", "2.5", "-3", "0", "-0", "1e3", "1_0", "+.5", "nan", "-inf", "x", "0x1"])
+separators = st.sampled_from([",", " ", "\t", ", ", ",,", " ,\t"])
+line_ends = st.sampled_from(["\n", "\r\n", "\r", "\x0b", " "])
+box_lines = st.one_of(
+    st.lists(fields, min_size=0, max_size=6).flatmap(
+        lambda fs: st.lists(separators, min_size=len(fs) + 1, max_size=len(fs) + 1).map(
+            lambda seps: seps[0] + "".join(f + s for f, s in zip(fs, seps[1:]))
+        )
+    ),
+    st.sampled_from(["", "  ", "\t", ",", "1,1,1,1", "5,5,-1,2", "0,0,0,0", "\xa01 2 3 4"]),
+)
+box_texts = st.lists(st.tuples(box_lines, line_ends), max_size=8).map(
+    lambda lines: "".join(line + end for line, end in lines)
+)
+
+
+class TestBulkParser:
+    @settings(max_examples=300, deadline=None)
+    @given(text=box_texts)
+    def test_matches_line_by_line_reference(self, text):
+        assert outcome(fio.parse_groundtruth, text) == outcome(reference_parse_boxes, text)
+        want = outcome(reference_parse_boxes, text)
+        got = outcome(fio.parse_predictions, text)
+        if want[0] == "ok":
+            want = ("ok", [FramePrediction(f.box) for f in want[1]])
+        assert got == want
+
+    # (class, message, line) raised by the line-by-line parser before the
+    # bulk parser replaced it
+    MALFORMED = {
+        "field count": ("1,2,3\n", "MalformedLineError", "line 1: expected 4 fields, got 3", 1),
+        "field count on a later line": (
+            "1,2,3,4\n1,2,3,4,5\n", "MalformedLineError", "line 2: expected 4 fields, got 5", 2),
+        "comma-only line": ("1,2,3,4\n,,,\n", "MalformedLineError", "line 2: expected 4 fields, got 0", 2),
+        "not a number": ("1,2,x,4\n", "MalformedLineError", "line 1: not a number: 'x'", 1),
+        "nan": ("nan,0,1,1\n", "MalformedLineError", "line 1: non-finite value: 'nan'", 1),
+        "inf": ("1,2,inf,4\n", "MalformedLineError", "line 1: non-finite value: 'inf'", 1),
+        "minus inf": ("1,2,3,-inf\n", "MalformedLineError", "line 1: non-finite value: '-inf'", 1),
+        "negative width": ("1,1,-3,2\n", "NegativeExtentError", "line 1: negative extent w=-3.0, h=2.0", 1),
+        "negative height": ("1,1,3,-2\n", "NegativeExtentError", "line 1: negative extent w=3.0, h=-2.0", 1),
+        "blank lines count": (
+            "1,1,2,2\n\n \t \n1,1,-2,2\n", "NegativeExtentError", "line 4: negative extent w=-2.0, h=2.0", 4),
+        "mixed separators": (
+            "1, 2\t3 4\n5,,6,\t7  ,8\n1 2 3 4 5\n", "MalformedLineError", "line 3: expected 4 fields, got 5", 3),
+        "first of two errors: count, then value": (
+            "1,2,3\n1,2,x,4\n", "MalformedLineError", "line 1: expected 4 fields, got 3", 1),
+        "first of two errors: extent, then count": (
+            "1,1,-1,1\n1,2,3\n", "NegativeExtentError", "line 1: negative extent w=-1.0, h=1.0", 1),
+        "first of two errors: value, then extent": (
+            "1,1,1,1\n1,nan,1,1\n1,1,-1,1\n", "MalformedLineError", "line 2: non-finite value: 'nan'", 2),
+    }
+
+    @pytest.mark.parametrize("parse", [fio.parse_groundtruth, fio.parse_predictions])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_box_file(self, parse, case):
+        text, cls, message, line = self.MALFORMED[case]
+        assert outcome(parse, text) == (cls, message, line)
+
+    MALFORMED_SIDECARS = {
+        "not a number": ("0.5\nhigh\n", "line 2: not a number: 'high'"),
+        "two values on a line": ("0.5\n0.1 0.2\n", "line 2: not a number: '0.1 0.2'"),
+        "trailing comma": ("0.5\n0.25,\n", "line 2: not a number: '0.25,'"),
+        "nan": ("0.5\nnan\n", "line 2: non-finite confidence: 'nan'"),
+        "inf": ("inf\n0.5\n", "line 1: non-finite confidence: 'inf'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SIDECARS))
+    def test_malformed_sidecar(self, case):
+        text, message = self.MALFORMED_SIDECARS[case]
+        line = int(message.split(":")[0].split()[1])
+        assert outcome(fio.parse_predictions, "1,1,1,1\n2,2,2,2\n", text) == ("MalformedLineError", message, line)
+
+    def test_accepted_syntax(self):
+        text = "1_0,2,3,4\r\n0,0,0,-0\r\n\n  1e3\t2E-2 ,+3,.5  \n"
+        assert fio.parse_groundtruth(text) == [
+            FrameTruth.present(Box(10, 2, 3, 4)),
+            FrameTruth.absent(),
+            FrameTruth.present(Box(1000, 0.02, 3, 0.5)),
+        ]
+        assert fio.parse_confidences(" 0.5 \n\n1e-3\n") == [0.5, 0.001]
+
+
+class TestColumnsFromFiles:
+    def test_loaders_and_scoring_build_no_box(self, toy_dataset, monkeypatch):
+        built = []
+        post_init = Box.__post_init__
+        monkeypatch.setattr(Box, "__post_init__", lambda self: built.append(1) or post_init(self))
+        manifest = fio.load_manifest(toy_dataset["manifest"])
+        results = fio.load_results(manifest, toy_dataset["results"])
+        benchmark_scores(manifest, results, MetricConfig())
+        benchmark_scores(manifest, results, MetricConfig(pooling="sequence-mean"))
+        assert built == []
+        assert isinstance(manifest.sequences[0].frames, TruthColumns)
+        assert all(isinstance(r, PredictionColumns) for r in results.values())
+        list(manifest.sequences[0].frames)  # per-frame access builds them
+        assert len(built) == 9
+
+    @pytest.mark.parametrize("pooling", ["frame", "sequence-mean"])
+    def test_scores_equal_object_lists(self, tmp_path, pooling):
+        rng = np.random.default_rng(99)
+        manifest, results = random_benchmark(rng, n_sequences=25, max_frames=40)
+        entries = []
+        for seq in manifest.sequences:
+            (tmp_path / f"{seq.id}.gt").write_text(fio.write_groundtruth(seq.frames))
+            (tmp_path / f"{seq.id}.txt").write_text(fio.write_predictions(results[seq.id]))
+            entries.append({"id": seq.id, "groundtruth": f"{seq.id}.gt"})
+        (tmp_path / "m.json").write_text(json.dumps({"sequences": entries}))
+        loaded = fio.load_manifest(tmp_path / "m.json")
+        cfg = MetricConfig(pooling=pooling)
+        assert benchmark_scores(loaded, fio.load_results(loaded, tmp_path), cfg) == benchmark_scores(
+            manifest, results, cfg
+        )

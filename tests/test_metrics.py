@@ -17,6 +17,7 @@ from fusebench import (
     LengthMismatchError,
     MetricConfig,
     MissingSequenceResultError,
+    PredictionColumns,
     SequenceAnnotation,
     auc,
     benchmark_scores,
@@ -27,6 +28,7 @@ from fusebench import (
     iou,
     sequence_score,
 )
+from fusebench.metrics import _frame_values
 from conftest import random_benchmark
 from protocol_oracle import ref_benchmark_curves
 
@@ -285,3 +287,86 @@ class TestBenchmarkScores:
             assert all(0.0 <= s <= 1.0 for s in sr + pr)
             assert all(a >= b for a, b in zip(sr, sr[1:])), "sr must be non-increasing"
             assert all(a <= b for a, b in zip(pr, pr[1:])), "pr must be non-decreasing"
+
+
+class TestKernelParity:
+    def test_per_frame_values_equal_scalar_functions_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        manifest, results = random_benchmark(rng, n_sequences=200, max_frames=40)
+        checked = {"present": 0, "absent": 0, "degenerate": 0}
+        for seq in manifest.sequences:
+            preds = results[seq.id]
+            overlap, distance, correct = _frame_values(
+                seq.frames, PredictionColumns.from_frames(preds)
+            )
+            for i, (g, p) in enumerate(zip(seq.frames, preds)):
+                assert overlap[i].tobytes() == np.float64(iou(g, p)).tobytes()
+                d = center_distance(g, p)
+                if isinstance(d, AbsenceOutcome):
+                    checked["absent"] += 1
+                    assert np.isnan(distance[i])
+                    assert correct[i] == (d is AbsenceOutcome.CORRECT_ABSENCE)
+                else:
+                    checked["present"] += 1
+                    checked["degenerate"] += g.box.area == 0.0 or p.box.area == 0.0
+                    assert distance[i].tobytes() == np.float64(d).tobytes()
+                    assert not correct[i]
+        assert min(checked.values()) > 0, checked
+
+
+def _truth_at(x: float, y: float, w: float = 0.0, h: float = 0.0) -> FrameTruth:
+    return FrameTruth.present(Box(x, y, w, h))
+
+
+def _pair_with_iou(target: float) -> tuple[FrameTruth, FramePrediction]:
+    """Boxes whose overlap is exactly ``target``: a box of height 1 inside
+    another, with the width searched ulp by ulp around ``target * width``."""
+    for width in (1.0, 3.0, 5.0, 7.0):
+        g = _truth_at(0.0, 0.0, width, 1.0)
+        lo = hi = target * width
+        for _ in range(64):
+            for w in (lo, hi):
+                p = FramePrediction(Box(0.0, 0.0, w, 1.0))
+                if 0.0 <= w <= width and iou(g, p) == target:
+                    return g, p
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    raise AssertionError(f"no box pair with overlap {target!r}")
+
+
+def _pair_with_distance(d: float) -> tuple[FrameTruth, FramePrediction]:
+    # degenerate boxes: the centres are the corners, so the distance is
+    # sqrt(d*d), which equals d unless d*d underflows
+    return _truth_at(0.0, 0.0), FramePrediction(Box(d, 0.0, 0.0, 0.0))
+
+
+def _near(t: float, lo: float, hi: float) -> list[float]:
+    """``t`` and its neighbouring floats, kept inside ``[lo, hi]``."""
+    return [v for v in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)) if lo <= v <= hi]
+
+
+_CFG = MetricConfig()
+NEAR_THRESHOLD_CASES = (
+    [(f"iou {v!r}", *_pair_with_iou(v)) for t in _CFG.success_thresholds for v in _near(t, 0.0, 1.0)]
+    + [(f"distance {v!r}", *_pair_with_distance(v))
+       for t in _CFG.precision_thresholds for v in _near(t, 0.0, math.inf)]
+    # math.hypot rounds this offset's length to exactly 20.0; the correctly
+    # rounded sqrt(dx*dx + dy*dy) is 20.000000000000004
+    + [("offset (10.21.., 17.19..)",
+        _truth_at(10.212789244604622, 17.195898808881385), FramePrediction(Box(0.0, 0.0, 0.0, 0.0)))]
+)
+
+
+class TestNearThreshold:
+    @pytest.mark.parametrize("label,g,p", NEAR_THRESHOLD_CASES, ids=[c[0] for c in NEAR_THRESHOLD_CASES])
+    def test_scalar_kernel_and_oracle_agree(self, label, g, p):
+        if label.startswith("iou"):
+            assert iou(g, p) == float(label.split()[1])
+        scalar_sr = [float(frame_success_indicator(g, p, t)) for t in _CFG.success_thresholds]
+        scalar_pr = [float(frame_precision_indicator(g, p, t)) for t in _CFG.precision_thresholds]
+        seq = SequenceAnnotation(id="s", frames=(g,))
+        kernel = benchmark_scores(DatasetManifest((seq,)), {"s": [p]}, _CFG)
+        oracle_sr, oracle_pr = ref_benchmark_curves(
+            [seq], {"s": [p]}, _CFG.success_thresholds, _CFG.precision_thresholds
+        )
+        assert list(kernel.sr_curve.scores) == scalar_sr == oracle_sr
+        assert list(kernel.pr_curve.scores) == scalar_pr == oracle_pr

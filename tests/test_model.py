@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,11 +14,14 @@ from fusebench import (
     FramePrediction,
     FrameTruth,
     FusebenchError,
+    LengthMismatchError,
     MissingConfidenceError,
     NegativeExtentError,
     NonFiniteError,
+    PredictionColumns,
     SequenceAnnotation,
     Subset,
+    TruthColumns,
     center,
     make_box,
 )
@@ -106,3 +110,45 @@ class TestSequences:
     def test_empty_manifest_rejected(self):
         with pytest.raises(FusebenchError):
             DatasetManifest(())
+
+
+class TestColumns:
+    def test_validated_once_at_construction(self):
+        with pytest.raises(NonFiniteError):
+            TruthColumns([[0, 0, float("nan"), 1]], [True])
+        with pytest.raises(NegativeExtentError):
+            TruthColumns([[0, 0, -1, 1]], [True])
+        with pytest.raises(LengthMismatchError):
+            TruthColumns([[0, 0, 1, 1]], [True, False])
+        with pytest.raises(LengthMismatchError):
+            PredictionColumns([[0, 0, 1, 1]], [True], [0.5, 0.5])
+        with pytest.raises(NonFiniteError):
+            PredictionColumns([[0, 0, 1, 1]], [True], [float("inf")])
+
+    def test_read_only_and_absent_rows_zeroed(self):
+        boxes = np.array([[1.0, 2.0, 3.0, 4.0], [9.0, 9.0, -1.0, 9.0]])
+        cols = TruthColumns(boxes, [True, False])
+        boxes[0, 0] = 100.0  # the columns hold a copy
+        assert cols.boxes.tolist() == [[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]]
+        with pytest.raises(ValueError):
+            cols.boxes[0, 0] = 5.0
+
+    def test_sequence_of_frame_objects(self):
+        cols = PredictionColumns([[1, 2, 3, 4], [0, 0, 0, 0]], [True, False], [0.25, 0.75])
+        assert len(cols) == 2
+        assert list(cols) == [FramePrediction(Box(1, 2, 3, 4), 0.25), FramePrediction.absent(0.75)]
+        assert cols[1] == FramePrediction.absent(0.75)
+        assert cols == PredictionColumns.from_frames(list(cols))
+
+    def test_len_builds_no_objects(self):
+        seq = SequenceAnnotation(id="s", frames=TruthColumns(np.zeros((5, 4)), np.zeros(5, dtype=bool)))
+        assert len(seq) == len(seq.frames) == 5
+        assert seq.frames._frames is None
+
+    def test_given_objects_are_kept(self):
+        frames = (FrameTruth.present(Box(1, 2, 3, 4)), FrameTruth.absent())
+        seq = SequenceAnnotation(id="s", frames=frames)
+        assert isinstance(seq.frames, TruthColumns)
+        assert all(a is b for a, b in zip(seq.frames, frames))
+        assert seq.frames.present.tolist() == [True, False]
+        assert seq == SequenceAnnotation(id="s", frames=list(frames))
