@@ -64,6 +64,7 @@ from .metrics import (
 )
 from .fusion import (
     DEFAULT_TIE_POLICY,
+    EXPERTS,
     ScoreMap,
     SelectionRecord,
     SelectionTrace,

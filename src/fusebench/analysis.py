@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import EmptySubsetError, FusebenchError, NonPositiveScoreError
-from .fusion import SelectionRecord, SelectionTrace
+from .fusion import EXPERTS, SelectionTrace
 from .metrics import BenchmarkScores, Curve, MetricConfig, benchmark_scores
 from .model import DatasetManifest, Expert, FramePrediction, Subset
 from .simulate import ScenarioReport
@@ -119,12 +119,11 @@ def compositional_eval(
     sequence_counts = {"overall": manifest.m}
     frame_counts = {"overall": sum(len(s) for s in manifest.sequences)}
     for tag, subset in _SUBSET_BY_TAG.items():
-        seqs = manifest.subset(subset)
-        sequence_counts[tag] = len(seqs)
-        frame_counts[tag] = sum(len(s) for s in seqs)
-        if seqs:
-            sub = DatasetManifest(seqs, name=manifest.name)
-            subsets[tag] = benchmark_scores(sub, results, cfg)
+        rows = [i for i, s in enumerate(manifest.sequences) if s.subset is subset]
+        sequence_counts[tag] = len(rows)
+        frame_counts[tag] = sum(len(manifest.sequences[i]) for i in rows)
+        if rows:
+            subsets[tag] = overall.of_sequences(rows, cfg)
     untagged = manifest.subset(Subset.UNSPECIFIED)
     sequence_counts["untagged"] = len(untagged)
     frame_counts["untagged"] = sum(len(s) for s in untagged)
@@ -478,16 +477,9 @@ def parse_report(
             seed=head["seed"],
         )
     if kind == "selection-trace":
-        records = tuple(
-            SelectionRecord(
-                frame=o["frame"],
-                chosen=Expert(o["chosen"]),
-                confidence=max(o["cs_rgb"], o["cs_tir"], o["cs_rgbt"]),
-                cs_rgb=o["cs_rgb"],
-                cs_tir=o["cs_tir"],
-                cs_rgbt=o["cs_rgbt"],
-            )
-            for o in lines[1:]
+        rows = lines[1:]
+        return SelectionTrace(
+            [EXPERTS.index(Expert(o["chosen"])) for o in rows],
+            [(o["cs_rgb"], o["cs_tir"], o["cs_rgbt"]) for o in rows],
         )
-        return SelectionTrace(records)
     raise FusebenchError(f"unknown report type {kind!r}")

@@ -10,7 +10,7 @@ order (fused expert first by default).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,11 +23,12 @@ from .errors import (
     NegativeLossError,
     NonFiniteError,
 )
-from .model import Expert, ExpertStream, FramePrediction
+from .model import Expert, ExpertStream, PredictionColumns
 
 __all__ = [
     "TiePolicy",
     "DEFAULT_TIE_POLICY",
+    "EXPERTS",
     "ScoreMap",
     "SelectionRecord",
     "SelectionTrace",
@@ -73,6 +74,9 @@ class TiePolicy:
 
 
 DEFAULT_TIE_POLICY = TiePolicy()
+
+#: Column order of per-frame score matrices and selection traces.
+EXPERTS = (Expert.RGB, Expert.TIR, Expert.RGBT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,20 +146,66 @@ class SelectionRecord:
         return {Expert.RGB: self.cs_rgb, Expert.TIR: self.cs_tir, Expert.RGBT: self.cs_rgbt}[expert]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionTrace:
-    """Per-frame record of which expert won and with what confidence."""
+    """Per-frame record of which expert won and with what confidence.
 
-    records: tuple[SelectionRecord, ...]
+    Stored as columns: ``confidences`` is an ``(n, 3)`` float64 matrix whose
+    columns follow :data:`EXPERTS` (rgb, tir, rgbt), and ``chosen`` holds
+    each frame's winning column, which must attain the row maximum. Both
+    are read-only. Iterating yields one :class:`SelectionRecord` per frame,
+    numbered by position; the records are built on first access.
+    """
+
+    chosen: np.ndarray
+    confidences: np.ndarray
+    _records: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
+        chosen = np.array(self.chosen, dtype=np.intp).reshape(-1)
+        conf = np.array(self.confidences, dtype=np.float64).reshape(-1, len(EXPERTS))
+        if len(chosen) != len(conf):
+            raise LengthMismatchError(f"{len(chosen)} chosen experts but {len(conf)} confidence rows")
+        if ((chosen < 0) | (chosen >= len(EXPERTS))).any():
+            raise FusebenchError("chosen experts must be column indices 0, 1 or 2")
+        beaten = np.flatnonzero(conf[np.arange(len(conf)), chosen] != conf.max(axis=1))
+        if beaten.size:
+            i = int(beaten[0])
+            raise FusebenchError(
+                f"frame {i}: chosen expert {EXPERTS[chosen[i]]} does not attain the winning confidence"
+            )
+        chosen.flags.writeable = False
+        conf.flags.writeable = False
+        object.__setattr__(self, "chosen", chosen)
+        object.__setattr__(self, "confidences", conf)
+
+    @classmethod
+    def from_records(cls, records) -> "SelectionTrace":
+        """The trace of per-frame records, taken in order."""
+        records = tuple(records)
+        return cls(
+            [EXPERTS.index(r.chosen) for r in records],
+            [(r.cs_rgb, r.cs_tir, r.cs_rgbt) for r in records],
+        )
+
+    @property
+    def records(self) -> tuple[SelectionRecord, ...]:
+        if self._records is None:
+            records = tuple(
+                SelectionRecord(i, EXPERTS[c], row[c], *row)
+                for i, (c, row) in enumerate(zip(self.chosen.tolist(), self.confidences.tolist()))
+            )
+            object.__setattr__(self, "_records", records)
+        return self._records
+
+    def __iter__(self):
+        return iter(self.records)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.chosen)
 
     def count(self, expert: Expert) -> int:
-        return sum(1 for r in self.records if r.chosen is expert)
+        return int(np.count_nonzero(self.chosen == EXPERTS.index(expert)))
 
 
 def select_expert(
@@ -177,41 +227,52 @@ def select_expert(
     raise AssertionError("unreachable: some expert attains the maximum")
 
 
+def _select_by_score(
+    streams: tuple[ExpertStream, ExpertStream, ExpertStream],
+    scores: np.ndarray,
+    tie: TiePolicy,
+) -> tuple[np.ndarray, PredictionColumns]:
+    """Per frame, the stream with the highest score, and its predictions.
+
+    ``streams`` and the columns of the ``(n, 3)`` ``scores`` matrix follow
+    :data:`EXPERTS`. The argmax is taken over the columns in tie-policy
+    order, so an exact tie goes to the preferred expert, as in
+    :func:`select_expert`. Returns the chosen column per frame.
+    """
+    order = np.array([EXPERTS.index(e) for e in tie.order])
+    chosen = order[np.argmax(scores[:, order], axis=1)]
+    frames = np.arange(len(chosen))
+    preds = [s.predictions for s in streams]
+    picked = PredictionColumns(
+        np.stack([p.boxes for p in preds])[chosen, frames],
+        np.stack([p.present for p in preds])[chosen, frames],
+        np.stack([p.confidence for p in preds])[chosen, frames],
+    )
+    return chosen, picked
+
+
 def fuse_streams(
     rgb: ExpertStream,
     tir: ExpertStream,
     rgbt: ExpertStream,
     tie: TiePolicy = DEFAULT_TIE_POLICY,
-) -> tuple[list[FramePrediction], SelectionTrace]:
+) -> tuple[PredictionColumns, SelectionTrace]:
     """Per frame, emit the prediction of the highest-confidence expert.
 
     Streams must have equal length; every frame of every stream carries a
     confidence (enforced by :class:`ExpertStream`). Declared-absence
-    predictions compete like any other: their confidence decides.
+    predictions compete like any other: their confidence decides. Ties
+    are broken as in :func:`select_expert`.
     """
     n = len(rgb)
     if len(tir) != n or len(rgbt) != n:
         raise LengthMismatchError(
             f"streams disagree in length: rgb={n}, tir={len(tir)}, rgbt={len(rgbt)}"
         )
-    by_expert = {Expert.RGB: rgb, Expert.TIR: tir, Expert.RGBT: rgbt}
-    fused: list[FramePrediction] = []
-    records: list[SelectionRecord] = []
-    for i in range(n):
-        cs = {e: s.predictions[i].confidence for e, s in by_expert.items()}
-        chosen = select_expert(cs[Expert.RGB], cs[Expert.TIR], cs[Expert.RGBT], tie)
-        fused.append(by_expert[chosen].predictions[i])
-        records.append(
-            SelectionRecord(
-                frame=i,
-                chosen=chosen,
-                confidence=cs[chosen],
-                cs_rgb=cs[Expert.RGB],
-                cs_tir=cs[Expert.TIR],
-                cs_rgbt=cs[Expert.RGBT],
-            )
-        )
-    return fused, SelectionTrace(tuple(records))
+    streams = (rgb, tir, rgbt)
+    confidences = np.column_stack([s.predictions.confidence for s in streams])
+    chosen, fused = _select_by_score(streams, confidences, tie)
+    return fused, SelectionTrace(chosen, confidences)
 
 
 def selection_ratios(trace: SelectionTrace) -> tuple[float, float, float]:

@@ -62,10 +62,10 @@ from .errors import (
 )
 from .metrics import MetricConfig
 from .model import (
-    Box,
     DatasetManifest,
     Expert,
     ExpertStream,
+    FrameColumns,
     FramePrediction,
     FrameTruth,
     PredictionColumns,
@@ -233,10 +233,11 @@ def parse_predictions(text: str, confidences: str | None = None) -> list[FramePr
     return list(PredictionColumns(boxes, boxes.any(axis=1), conf))
 
 
-def _format_row(box: Box | None) -> str:
-    if box is None:
-        return "0,0,0,0"
-    return f"{box.x!r},{box.y!r},{box.w!r},{box.h!r}"
+def _box_lines(frames: FrameColumns) -> str:
+    rows, present = frames.boxes.tolist(), frames.present.tolist()
+    return "".join(
+        f"{x!r},{y!r},{w!r},{h!r}\n" if p else "0,0,0,0\n" for (x, y, w, h), p in zip(rows, present)
+    )
 
 
 def write_groundtruth(frames: Sequence[FrameTruth]) -> str:
@@ -245,20 +246,21 @@ def write_groundtruth(frames: Sequence[FrameTruth]) -> str:
     Float fields use shortest round-trip formatting, so parsing the output
     reproduces the input exactly.
     """
-    return "".join(_format_row(f.box) + "\n" for f in frames)
+    return _box_lines(TruthColumns.from_frames(frames))
 
 
 def write_predictions(preds: Sequence[FramePrediction]) -> str:
     """Serialize predictions in the groundtruth line format."""
-    return "".join(_format_row(p.box) + "\n" for p in preds)
+    return _box_lines(PredictionColumns.from_frames(preds))
 
 
 def write_confidences(preds: Sequence[FramePrediction]) -> str:
     """Serialize the confidence sidecar for a prediction list."""
-    missing = [i for i, p in enumerate(preds) if p.confidence is None]
-    if missing:
+    cols = PredictionColumns.from_frames(preds)
+    if cols.confidence is None:
+        missing = [i for i, p in enumerate(cols) if p.confidence is None]
         raise FusebenchError(f"predictions at frames {missing[:5]} have no confidence")
-    return "".join(f"{p.confidence!r}\n" for p in preds)
+    return "".join(f"{c!r}\n" for c in cols.confidence.tolist())
 
 
 _SUBSET_TAGS = {"rgb": Subset.RGB_DOMINANT, "tir": Subset.TIR_DOMINANT, "none": Subset.UNSPECIFIED}
@@ -342,8 +344,7 @@ def load_expert_stream(path: str | Path, expert: Expert | str, conf_path: str | 
         raise FileNotFoundError(f"prediction file not found: {path}")
     if not conf_path.is_file():
         raise FileNotFoundError(f"confidence sidecar not found: {conf_path}")
-    preds = _load_predictions(path, conf_path)
-    return ExpertStream(expert=Expert(expert), predictions=tuple(preds))
+    return ExpertStream(expert=Expert(expert), predictions=_load_predictions(path, conf_path))
 
 
 # -- configuration files ----------------------------------------------------

@@ -178,12 +178,24 @@ class Curve:
 
 @dataclass(frozen=True)
 class BenchmarkScores:
-    """Full evaluation output for one benchmark run."""
+    """Full evaluation output for one benchmark run.
+
+    ``sequence_sr`` / ``sequence_pr`` hold each sequence's scores at every
+    success / precision threshold, one read-only row per sequence in
+    manifest order; they are None for scores read back from a report.
+    """
 
     pr_curve: Curve
     sr_curve: Curve
     pr_at_threshold: float
     sr_auc: float
+    sequence_sr: np.ndarray | None = field(default=None, compare=False, repr=False)
+    sequence_pr: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def of_sequences(self, rows: Sequence[int], cfg: MetricConfig) -> "BenchmarkScores":
+        """The scores of the sub-benchmark made of the sequences at ``rows``
+        (manifest positions, in order), equal to scoring it anew."""
+        return _scores_of_rows(self.sequence_sr[rows], self.sequence_pr[rows], cfg)
 
 
 def _overlap(a_lo: float, a_len: float, b_lo: float, b_len: float) -> float:
@@ -376,30 +388,45 @@ def benchmark_scores(
     left-to-right in manifest order (plain sequential summation), so
     results are bit-reproducible and independent of any internal
     parallelism. Prediction lists are converted to columns once, here.
+    The per-sequence scores are kept in the result, so the scores of any
+    subset of sequences follow without scoring again
+    (:meth:`BenchmarkScores.of_sequences`).
     """
     cfg = cfg or MetricConfig()
     ths = np.asarray(cfg.success_thresholds)
     thp = np.asarray(cfg.precision_thresholds)
-    sr_total = np.zeros(len(ths))
-    pr_total = np.zeros(len(thp))
-
+    sr_rows, pr_rows = [], []
     for seq in manifest.sequences:
         if seq.id not in results:
             raise MissingSequenceResultError(seq.id)
         pred = PredictionColumns.from_frames(results[seq.id])
         _check_pair(seq.frames, pred, seq.id)
         sr_seq, pr_seq = _sequence_curves(seq.frames, pred, ths, thp, cfg.pooling)
-        sr_total += sr_seq
-        pr_total += pr_seq
+        sr_rows.append(sr_seq)
+        pr_rows.append(pr_seq)
+    return _scores_of_rows(np.array(sr_rows), np.array(pr_rows), cfg)
 
-    m = manifest.m
-    sr_curve = Curve(cfg.success_thresholds, tuple(sr_total / m))
-    pr_curve = Curve(cfg.precision_thresholds, tuple(pr_total / m))
+
+def _mean_of_rows(rows: np.ndarray) -> np.ndarray:
+    """Column means, the rows added strictly left to right."""
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total += row
+    return total / len(rows)
+
+
+def _scores_of_rows(sr_rows: np.ndarray, pr_rows: np.ndarray, cfg: MetricConfig) -> BenchmarkScores:
+    sr_curve = Curve(cfg.success_thresholds, tuple(_mean_of_rows(sr_rows)))
+    pr_curve = Curve(cfg.precision_thresholds, tuple(_mean_of_rows(pr_rows)))
+    sr_rows.flags.writeable = False
+    pr_rows.flags.writeable = False
     return BenchmarkScores(
         pr_curve=pr_curve,
         sr_curve=sr_curve,
         pr_at_threshold=pr_curve.score_at(cfg.pr_report_threshold),
         sr_auc=auc(sr_curve),
+        sequence_sr=sr_rows,
+        sequence_pr=pr_rows,
     )
 
 

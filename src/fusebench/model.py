@@ -311,29 +311,30 @@ class SequenceAnnotation:
 class ExpertStream:
     """One expert's per-frame predictions, every frame carrying a confidence.
 
-    Construction fails if any frame lacks a finite confidence; pairing with
-    an annotation of different length is rejected by the consumers
-    (evaluation, fusion) rather than silently truncated.
+    ``predictions`` may be given as any sequence of :class:`FramePrediction`;
+    it is stored as :class:`PredictionColumns`. Construction fails if any
+    frame lacks a confidence; pairing with an annotation of different
+    length is rejected by the consumers (evaluation, fusion) rather than
+    silently truncated.
     """
 
     expert: Expert
-    predictions: tuple[FramePrediction, ...]
+    predictions: PredictionColumns
 
     def __post_init__(self):
         object.__setattr__(self, "expert", Expert(self.expert))
-        object.__setattr__(self, "predictions", tuple(self.predictions))
-        for i, p in enumerate(self.predictions):
-            if p.confidence is None:
-                raise MissingConfidenceError(
-                    f"{self.expert} stream: frame {i} has no confidence score"
-                )
+        preds = PredictionColumns.from_frames(self.predictions)
+        object.__setattr__(self, "predictions", preds)
+        if preds.confidence is None:
+            first = next((i for i, p in enumerate(preds) if p.confidence is None), 0)
+            raise MissingConfidenceError(f"{self.expert} stream: frame {first} has no confidence score")
 
     def __len__(self) -> int:
         return len(self.predictions)
 
     @property
     def confidences(self) -> tuple[float, ...]:
-        return tuple(p.confidence for p in self.predictions)
+        return tuple(self.predictions.confidence.tolist())
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ so results do not depend on any execution schedule.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -31,16 +32,25 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, IntervalOutOfBoundsError, LengthMismatchError
-from .fusion import DEFAULT_TIE_POLICY, TiePolicy, fuse_streams
-from .metrics import BenchmarkScores, MetricConfig, benchmark_scores, iou
+from .fusion import DEFAULT_TIE_POLICY, EXPERTS, TiePolicy, _select_by_score, fuse_streams
+from .metrics import (
+    BenchmarkScores,
+    MetricConfig,
+    _frame_values,
+    _py_max,
+    _py_min,
+    benchmark_scores,
+    iou,
+)
 from .model import (
-    Box,
     DatasetManifest,
     Expert,
     ExpertStream,
     FramePrediction,
     FrameTruth,
+    PredictionColumns,
     SequenceAnnotation,
+    TruthColumns,
 )
 
 __all__ = [
@@ -162,6 +172,12 @@ class ScenarioConfig:
     fused: FusedQualityModel = field(default_factory=FusedQualityModel)
 
     def __post_init__(self):
+        for name in ("n_sequences", "n_frames", "seed"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "extent", (float(self.extent[0]), float(self.extent[1])))
         object.__setattr__(self, "size_range", (float(self.size_range[0]), float(self.size_range[1])))
         if self.n_sequences < 1 or self.n_frames < 1:
@@ -227,7 +243,8 @@ def generate_trajectory(
 
     The center performs an independent Gaussian random walk per axis with
     reflective boundary handling; the box size is constant per sequence.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. The frames are built as
+    :class:`TruthColumns`.
     """
     rng = np.random.default_rng(_seed_sequence(seed))
     W, H = cfg.extent
@@ -236,15 +253,17 @@ def generate_trajectory(
     h = float(rng.uniform(lo, hi))
     cx = float(rng.uniform(w / 2.0, W - w / 2.0))
     cy = float(rng.uniform(h / 2.0, H - h / 2.0))
-    frames = []
-    for i in range(cfg.n_frames):
-        if i > 0:
-            dx, dy = rng.normal(0.0, cfg.motion_step_std, size=2)
-            cx = _reflect(cx + float(dx), w / 2.0, W - w / 2.0)
-            cy = _reflect(cy + float(dy), h / 2.0, H - h / 2.0)
-        frames.append(FrameTruth.present(Box(cx - w / 2.0, cy - h / 2.0, w, h)))
+    steps = rng.normal(0.0, cfg.motion_step_std, size=(cfg.n_frames - 1, 2)).tolist()
+    xs, ys = [cx], [cy]
+    for dx, dy in steps:
+        cx = _reflect(cx + dx, w / 2.0, W - w / 2.0)
+        cy = _reflect(cy + dy, h / 2.0, H - h / 2.0)
+        xs.append(cx)
+        ys.append(cy)
+    n = cfg.n_frames
+    boxes = np.column_stack([np.array(xs) - w / 2.0, np.array(ys) - h / 2.0, np.full(n, w), np.full(n, h)])
     sid = sequence_id if sequence_id is not None else f"sim-{_seed_sequence(seed).entropy}"
-    return SequenceAnnotation(id=sid, frames=tuple(frames))
+    return SequenceAnnotation(id=sid, frames=TruthColumns(boxes, np.ones(n, dtype=bool)))
 
 
 def degraded_mask(profile: DegradationProfile, n_frames: int, seed) -> np.ndarray:
@@ -285,9 +304,40 @@ def calibrate_confidence(pred: FramePrediction, gt: FrameTruth, noise: float = 0
     return min(1.0, max(0.0, c))
 
 
-def _fallback_box(extent: tuple[float, float]) -> Box:
-    W, H = extent
-    return Box(W / 2.0 - W / 20.0, H / 2.0 - H / 20.0, W / 10.0, H / 10.0)
+def _draws(
+    rng: np.random.Generator, used: np.ndarray, normal: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Random draws laid out as a table, made row by row, left to right.
+
+    ``used`` (n, k) marks the draws each frame makes; column ``j`` is a
+    ``Normal(a, b)`` draw where ``normal[j]`` and a ``Uniform(a, b)`` draw
+    otherwise. Unused entries are 0. Each run of consecutive draws of one
+    kind is made in one call, which yields the same numbers as making the
+    draws one at a time in that order.
+    """
+    out = np.zeros(used.shape)
+    if not used.any():
+        return out
+    is_normal = np.broadcast_to(normal, used.shape)[used]
+    a, b = a[used], b[used]
+    values = np.empty(len(is_normal))
+    cuts = (np.flatnonzero(is_normal[1:] != is_normal[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(is_normal)]):
+        draw = rng.normal if is_normal[lo] else rng.uniform
+        values[lo:hi] = draw(a[lo:hi], b[lo:hi])
+    out[used] = values
+    return out
+
+
+def _calibrated(
+    gt: TruthColumns, boxes: np.ndarray, present: np.ndarray, noise: float, noise_draws: np.ndarray
+) -> PredictionColumns:
+    """Predictions whose confidences are :func:`calibrate_confidence` on
+    every frame, given the frames' ``Uniform(-noise, noise)`` draws."""
+    c = _frame_values(gt, PredictionColumns(boxes, present))[0]
+    if noise > 0:
+        c = c + noise_draws
+    return PredictionColumns(boxes, present, _py_min(1.0, _py_max(0.0, c)))
 
 
 def degrade_modality(
@@ -309,6 +359,13 @@ def degrade_modality(
     * drifting-box: a random walk wandering away from the last informative
       prediction (step scale 0.15 of the mean box side).
 
+    Confidences are :func:`calibrate_confidence` of each prediction. Per
+    frame, in frame order, the stream draws: the x then y jitter
+    (informative frames with a present target, when ``sigma_in > 0``) or
+    the x then y drift step (degraded drifting-box frames); the x then y
+    position (degraded uniform-random-box frames); then the confidence
+    noise (every frame, when ``confidence_noise > 0``).
+
     ``mask`` may be supplied to reuse a precomputed degraded-frame mask;
     when omitted it is derived from the seed exactly as
     ``degraded_mask(profile, len(gt), child_seed(seed, 0))``.
@@ -324,58 +381,49 @@ def degrade_modality(
                 raise IntervalOutOfBoundsError(f"interval [{s}, {e}) exceeds sequence length {n}")
     rng = np.random.default_rng(child_seed(seed, 1))
     W, H = float(extent[0]), float(extent[1])
+    mask = np.asarray(mask, dtype=bool)
+    g, present = gt.frames.boxes, gt.frames.present
+    informative = present & ~mask
+    behavior = profile.behavior
+    uniform = mask if behavior is DegradedBehavior.UNIFORM_RANDOM_BOX else np.zeros(n, dtype=bool)
+    drifting = mask if behavior is DegradedBehavior.DRIFTING_BOX else np.zeros(n, dtype=bool)
 
-    first = next((f.box for f in gt.frames if f.is_present), None)
-    last_informative = first if first is not None else _fallback_box((W, H))
-    drift_box: Box | None = None
+    # the last informative prediction before each frame: the first present
+    # target (or a fallback box) until the first informative frame
+    first = np.flatnonzero(present)
+    fallback = [W / 2.0 - W / 20.0, H / 2.0 - H / 20.0, W / 10.0, H / 10.0]
+    start_box = g[first[0]] if first.size else np.array(fallback)
+    last = np.maximum.accumulate(np.where(informative, np.arange(n), -1))
+    last_size = np.where((last >= 0)[:, None], g[last, 2:], start_box[2:])
+    ref_size = np.where(present[:, None], g[:, 2:], last_size)
+    step = 0.15 * (last_size[:, 0] + last_size[:, 1]) / 2.0
 
-    preds: list[FramePrediction] = []
-    for i, frame in enumerate(gt.frames):
-        if not mask[i]:
-            drift_box = None
-            if frame.is_present:
-                b = frame.box
-                dx = float(rng.normal(0.0, profile.sigma_in * b.w)) if profile.sigma_in > 0 else 0.0
-                dy = float(rng.normal(0.0, profile.sigma_in * b.h)) if profile.sigma_in > 0 else 0.0
-                pred_box = b.shifted(dx, dy)
-                last_informative = pred_box
-                pred = FramePrediction(pred_box)
-            else:
-                pred = FramePrediction.absent()
-        else:
-            if profile.behavior is DegradedBehavior.UNIFORM_RANDOM_BOX:
-                ref = frame.box if frame.is_present else last_informative
-                w, h = ref.w, ref.h
-                x = float(rng.uniform(0.0, max(W - w, 0.0)))
-                y = float(rng.uniform(0.0, max(H - h, 0.0)))
-                pred = FramePrediction(Box(x, y, w, h))
-            elif profile.behavior is DegradedBehavior.FROZEN_BOX:
-                pred = FramePrediction(last_informative)
-            else:  # drifting
-                if drift_box is None:
-                    drift_box = last_informative
-                step = 0.15 * (drift_box.w + drift_box.h) / 2.0
-                dx, dy = rng.normal(0.0, step, size=2)
-                drift_box = drift_box.shifted(float(dx), float(dy))
-                pred = FramePrediction(drift_box)
-        conf = calibrate_confidence(pred, frame, profile.confidence_noise, rng)
-        preds.append(FramePrediction(pred.box, conf))
-    return ExpertStream(expert=profile.target, predictions=tuple(preds))
+    used = np.zeros((n, 5), dtype=bool)
+    used[:, :2] = (informative & (profile.sigma_in > 0))[:, None] | drifting[:, None]
+    used[:, 2:4] = uniform[:, None]
+    used[:, 4] = profile.confidence_noise > 0
+    a = np.zeros((n, 5))
+    b = np.zeros((n, 5))
+    b[:, :2] = np.where(drifting[:, None], step[:, None], profile.sigma_in * g[:, 2:])
+    b[:, 2:4] = _py_max(np.array([W, H]) - ref_size, 0.0)
+    a[:, 4], b[:, 4] = -profile.confidence_noise, profile.confidence_noise
+    d = _draws(rng, used, np.array([True, True, False, False, False]), a, b)
 
-
-def _box_with_overlap(gt_box: Box, quality: float, rng: np.random.Generator) -> Box:
-    """A box whose IoU with ``gt_box`` equals ``quality`` (up to rounding).
-
-    Pure horizontal shift of an equal-size box: shifting by
-    ``d = w (1 - q) / (1 + q)`` yields IoU exactly ``q``; the direction is
-    drawn from ``rng``.
-    """
-    q = min(1.0, max(0.0, quality))
-    if gt_box.w <= 0.0 or gt_box.h <= 0.0:
-        return gt_box
-    d = gt_box.w * (1.0 - q) / (1.0 + q)
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    return gt_box.shifted(sign * d, 0.0)
+    jittered = np.column_stack([g[:, :2] + d[:, :2], g[:, 2:]])
+    last_box = np.where((last >= 0)[:, None], jittered[last], start_box)
+    boxes = np.where(informative[:, None], jittered, 0.0)
+    boxes[uniform] = np.column_stack([d[:, 2:4], ref_size])[uniform]
+    if behavior is DegradedBehavior.FROZEN_BOX:
+        boxes[mask] = last_box[mask]
+    # a drift starts from the last informative prediction on the first
+    # frame of each degraded run and accumulates its steps left to right
+    runs = np.flatnonzero(np.diff(np.concatenate([[0], drifting.astype(np.int8), [0]])))
+    for s, e in zip(runs[::2].tolist(), runs[1::2].tolist()):
+        walk = np.concatenate([last_box[s : s + 1, :2], d[s:e, :2]])
+        boxes[s:e, :2] = np.cumsum(walk, axis=0)[1:]
+        boxes[s:e, 2:] = last_box[s, 2:]
+    preds = _calibrated(gt.frames, boxes, present | mask, profile.confidence_noise, d[:, 4])
+    return ExpertStream(expert=profile.target, predictions=preds)
 
 
 def synthesize_fused_expert(
@@ -392,7 +440,11 @@ def synthesize_fused_expert(
     Input qualities are the true per-frame overlaps of the two streams.
     The degraded masks say which side is non-informative at each frame
     (default: neither). A box realizing the resulting quality target is
-    synthesized by controlled perturbation of the true box.
+    synthesized by a horizontal shift of the true box: shifting an
+    equal-size box by ``d = w (1 - q) / (1 + q)`` yields IoU exactly ``q``
+    (up to rounding). Per frame, in frame order, the stream draws: the
+    shift direction (frames whose target has positive width and height),
+    then the confidence noise (every frame, when ``confidence_noise > 0``).
     """
     model = model or FusedQualityModel()
     n = len(gt)
@@ -407,25 +459,30 @@ def synthesize_fused_expert(
 
     rng = np.random.default_rng(_seed_sequence(seed))
     a = model.informative_weight
-    preds: list[FramePrediction] = []
-    for i, frame in enumerate(gt.frames):
-        if not frame.is_present:
-            pred = FramePrediction.absent()
-        else:
-            q_rgb = iou(frame, rgb.predictions[i])
-            q_tir = iou(frame, tir.predictions[i])
-            if not rgb_deg[i] and not tir_deg[i]:
-                target = min(1.0, max(q_rgb, q_tir) + model.boost)
-            elif rgb_deg[i] and not tir_deg[i]:
-                target = a * q_tir + (1.0 - a) * q_rgb
-            elif tir_deg[i] and not rgb_deg[i]:
-                target = a * q_rgb + (1.0 - a) * q_tir
-            else:
-                target = a * max(q_rgb, q_tir) + (1.0 - a) * min(q_rgb, q_tir)
-            pred = FramePrediction(_box_with_overlap(frame.box, target, rng))
-        conf = calibrate_confidence(pred, frame, model.confidence_noise, rng)
-        preds.append(FramePrediction(pred.box, conf))
-    return ExpertStream(expert=Expert.RGBT, predictions=tuple(preds))
+    q_rgb = _frame_values(gt.frames, rgb.predictions)[0]
+    q_tir = _frame_values(gt.frames, tir.predictions)[0]
+    best, worst = _py_max(q_rgb, q_tir), _py_min(q_rgb, q_tir)
+    target = np.select(
+        [~rgb_deg & ~tir_deg, rgb_deg & ~tir_deg, tir_deg & ~rgb_deg],
+        [_py_min(1.0, best + model.boost), a * q_tir + (1.0 - a) * q_rgb, a * q_rgb + (1.0 - a) * q_tir],
+        a * best + (1.0 - a) * worst,
+    )
+    q = _py_min(1.0, _py_max(0.0, target))
+
+    g, present = gt.frames.boxes, gt.frames.present
+    noise = model.confidence_noise
+    shifted = present & (g[:, 2] > 0.0) & (g[:, 3] > 0.0)
+    used = np.column_stack([shifted, np.full(n, noise > 0)])
+    lo = np.column_stack([np.zeros(n), np.full(n, -noise)])
+    hi = np.column_stack([np.ones(n), np.full(n, noise)])
+    u = _draws(rng, used, np.array([False, False]), lo, hi)
+    sign = np.where(u[:, 0] < 0.5, 1.0, -1.0)
+    shift = g[:, 2] * (1.0 - q) / (1.0 + q)
+    boxes = g.copy()
+    boxes[shifted, 0] += (sign * shift)[shifted]
+    boxes[shifted, 1] += 0.0  # a shifted box has y + 0.0, which maps -0.0 to 0.0
+    preds = _calibrated(gt.frames, boxes, present, noise, u[:, 1])
+    return ExpertStream(expert=Expert.RGBT, predictions=preds)
 
 
 def oracle_best_selection(
@@ -434,24 +491,17 @@ def oracle_best_selection(
     rgbt: ExpertStream,
     gt: SequenceAnnotation,
     tie: TiePolicy = DEFAULT_TIE_POLICY,
-) -> list[FramePrediction]:
+) -> PredictionColumns:
     """Per frame, the prediction with maximal true overlap (ties by policy)."""
     n = len(gt)
-    for s in (rgb, tir, rgbt):
+    streams = (rgb, tir, rgbt)
+    for s in streams:
         if len(s) != n:
             raise LengthMismatchError(
                 f"{s.expert} stream has {len(s)} frames for {n} ground-truth frames"
             )
-    by_expert = {Expert.RGB: rgb, Expert.TIR: tir, Expert.RGBT: rgbt}
-    out: list[FramePrediction] = []
-    for i, frame in enumerate(gt.frames):
-        q = {e: iou(frame, s.predictions[i]) for e, s in by_expert.items()}
-        best = max(q.values())
-        for e in tie.order:
-            if q[e] == best:
-                out.append(by_expert[e].predictions[i])
-                break
-    return out
+    overlaps = np.column_stack([_frame_values(gt.frames, s.predictions)[0] for s in streams])
+    return _select_by_score(streams, overlaps, tie)[1]
 
 
 def run_scenario(cfg: ScenarioConfig, metric_cfg: MetricConfig | None = None) -> ScenarioReport:
@@ -462,8 +512,8 @@ def run_scenario(cfg: ScenarioConfig, metric_cfg: MetricConfig | None = None) ->
     """
     metric_cfg = metric_cfg or MetricConfig()
     annotations: list[SequenceAnnotation] = []
-    results: dict[str, dict[str, list[FramePrediction]]] = {p: {} for p in POLICIES}
-    chosen_counts = {Expert.RGB: 0, Expert.TIR: 0, Expert.RGBT: 0}
+    results: dict[str, dict[str, PredictionColumns]] = {p: {} for p in POLICIES}
+    chosen_counts = dict.fromkeys(EXPERTS, 0)
     total_frames = 0
 
     for i in range(cfg.n_sequences):
@@ -481,24 +531,20 @@ def run_scenario(cfg: ScenarioConfig, metric_cfg: MetricConfig | None = None) ->
         )
 
         selected, trace = fuse_streams(rgb, tir, fused)
-        for r in trace.records:
-            chosen_counts[r.chosen] += 1
+        for e in EXPERTS:
+            chosen_counts[e] += trace.count(e)
         total_frames += len(trace)
 
         annotations.append(traj)
         results["selection"][sid] = selected
-        results["always-fuse"][sid] = list(fused.predictions)
-        results["rgb-only"][sid] = list(rgb.predictions)
-        results["tir-only"][sid] = list(tir.predictions)
+        results["always-fuse"][sid] = fused.predictions
+        results["rgb-only"][sid] = rgb.predictions
+        results["tir-only"][sid] = tir.predictions
         results["oracle"][sid] = oracle_best_selection(rgb, tir, fused, traj)
 
     manifest = DatasetManifest(tuple(annotations), name="scenario")
     policies = {p: benchmark_scores(manifest, results[p], metric_cfg) for p in POLICIES}
-    ratios = (
-        chosen_counts[Expert.RGB] / total_frames,
-        chosen_counts[Expert.TIR] / total_frames,
-        chosen_counts[Expert.RGBT] / total_frames,
-    )
+    ratios = tuple(chosen_counts[e] / total_frames for e in EXPERTS)
     return ScenarioReport(
         policies=policies,
         selection_ratios=ratios,

@@ -243,7 +243,7 @@ def test_criterion_08_selection_ratio_fixture():
                 SelectionRecord(frame=i, chosen=Expert.TIR, confidence=0.8,
                                 cs_rgb=0.1, cs_tir=0.8, cs_rgbt=0.4)
             )
-    ratios = selection_ratios(SelectionTrace(tuple(records)))
+    ratios = selection_ratios(SelectionTrace.from_records(records))
     assert ratios == (0.00, 0.88, 0.12)
     _passed(8, "100-frame trace with 12 fused wins reports ratios (0.00, 0.88, 0.12)")
 

@@ -26,6 +26,7 @@ from fusebench import (
     ScenarioConfig,
     subset_manifest,
 )
+from fusebench import analysis
 from conftest import random_benchmark
 
 # expert PR/SR scores per benchmark as reported by the reference comparison
@@ -125,6 +126,28 @@ class TestCompositionalEval:
         for k in range(len(cfg.success_thresholds)):
             weighted = sum(cnt * scores[k] for cnt, scores in parts) / n
             assert math.isclose(report.overall.sr_curve.scores[k], weighted, abs_tol=1e-12)
+
+
+    @pytest.mark.parametrize("pooling", ["frame", "sequence-mean"])
+    def test_scores_each_sequence_once_and_subsets_equal_rescoring(self, monkeypatch, pooling):
+        # subset curves come from the overall per-sequence rows, reduced in
+        # manifest order, and equal scoring the subset anew bit for bit
+        rng = np.random.default_rng(77)
+        manifest, results = random_benchmark(rng, n_sequences=40, max_frames=20)
+        tags = [Subset.TIR_DOMINANT, Subset.RGB_DOMINANT, Subset.UNSPECIFIED, Subset.RGB_DOMINANT]
+        manifest = DatasetManifest(tuple(
+            SequenceAnnotation(id=s.id, frames=s.frames, subset=tags[i % 4])
+            for i, s in enumerate(manifest.sequences)
+        ))
+        cfg = MetricConfig(pooling=pooling)
+        calls = []
+        monkeypatch.setattr(analysis, "benchmark_scores", lambda *a: calls.append(1) or benchmark_scores(*a))
+        report = compositional_eval(manifest, results, cfg)
+        assert len(calls) == 1
+        assert report.overall.sequence_sr.shape == (40, len(cfg.success_thresholds))
+        assert report.overall.sequence_pr.shape == (40, len(cfg.precision_thresholds))
+        for tag in ("rgb", "tir"):
+            assert report.subsets[tag] == benchmark_scores(subset_manifest(manifest, tag), results, cfg)
 
 
 class TestBalancedIndicators:

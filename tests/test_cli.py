@@ -327,3 +327,25 @@ class TestMalformedInputExitsThree:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert named.name in lines[0], proc.stderr
+
+    @pytest.mark.parametrize("config", [
+        {"seed": -4}, {"seed": 1.5}, {"n_sequences": 2.5}, {"n_frames": True},
+    ], ids=lambda c: json.dumps(c))
+    def test_bad_scenario_integer_in_config(self, tmp_path, config):
+        path = _write(tmp_path / "cfg.json", json.dumps({"kind": "scenario", **config}))
+        proc = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert path.name in lines[0] and next(iter(config)) in lines[0], proc.stderr
+
+    def test_negative_seed_option(self, tmp_path):
+        proc = run_cli("simulate", "--config", "common-scenario", "--out", str(tmp_path), "--seed", "-1")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == ["error: seed must be non-negative, got -1"]
+
+    def test_huge_seed_option_still_works(self, tmp_path):
+        path = _write(tmp_path / "cfg.json", json.dumps({"kind": "scenario", "n_sequences": 1, "n_frames": 5}))
+        proc = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "out"),
+                       "--seed", "99999999999999999999999")
+        assert proc.returncode == 0, proc.stderr

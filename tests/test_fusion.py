@@ -11,6 +11,7 @@ from fusebench import (
     EmptyScoreMapError,
     EmptyTraceError,
     Expert,
+    EXPERTS,
     ExpertStream,
     FramePrediction,
     FrameTruth,
@@ -18,6 +19,7 @@ from fusebench import (
     NegativeLossError,
     NonFiniteError,
     ScoreMap,
+    SequenceAnnotation,
     SelectionRecord,
     SelectionTrace,
     TiePolicy,
@@ -25,6 +27,7 @@ from fusebench import (
     confidence_from_score_map,
     fuse_streams,
     iou,
+    oracle_best_selection,
     select_expert,
     selection_ratios,
 )
@@ -151,6 +154,51 @@ class TestFuseStreams:
             assert iou(g, f) == best
 
 
+GRID = st.integers(min_value=0, max_value=1000).map(lambda k: k / 1000)
+PRESETS = st.sampled_from(["rgbt-first", "tir-first", "rgb-first"])
+
+
+@st.composite
+def tied_rows(draw, values):
+    """Per-frame triples drawn from a palette of at most three values, so
+    2-way and 3-way exact ties are frequent."""
+    palette = st.sampled_from(draw(st.lists(values, min_size=1, max_size=3)))
+    return draw(st.lists(st.tuples(palette, palette, palette), min_size=1, max_size=30))
+
+
+class TestTieBreaking:
+    @given(rows=tied_rows(GRID), preset=PRESETS)
+    def test_fuse_streams_picks_as_select_expert(self, rows, preset):
+        tie = TiePolicy.parse(preset)
+        # each expert's boxes differ, so a fused prediction names its expert
+        streams = [
+            stream(e, [(Box(float(i), float(k), 4, 4), row[k]) for i, row in enumerate(rows)])
+            for k, e in enumerate(EXPERTS)
+        ]
+        fused, trace = fuse_streams(*streams, tie)
+        for i, row in enumerate(rows):
+            want = select_expert(*row, tie)
+            assert trace.records[i].chosen is want
+            assert fused[i] == streams[EXPERTS.index(want)].predictions[i]
+
+    # horizontal shifts of a 10x10 target: equal |shift| gives bit-equal
+    # overlaps, shifts of 10 or more and declared absence all overlap 0
+    @given(rows=tied_rows(st.one_of(st.none(), st.integers(-12, 12))), preset=PRESETS)
+    def test_oracle_picks_as_select_expert(self, rows, preset):
+        tie = TiePolicy.parse(preset)
+        gt = SequenceAnnotation(id="s", frames=[FrameTruth.present(Box(0, 0, 10, 10))] * len(rows))
+        # the confidence names the expert
+        streams = [
+            stream(e, [(None if row[k] is None else Box(float(row[k]), 0, 10, 10), k / 10) for row in rows])
+            for k, e in enumerate(EXPERTS)
+        ]
+        picked = oracle_best_selection(*streams, gt, tie)
+        for i, frame in enumerate(gt.frames):
+            overlaps = [iou(frame, s.predictions[i]) for s in streams]
+            want = select_expert(*overlaps, tie)
+            assert picked[i] == streams[EXPERTS.index(want)].predictions[i]
+
+
 class TestTrace:
     def _record(self, i, chosen, cs):
         return SelectionRecord(
@@ -168,12 +216,12 @@ class TestTrace:
                 records.append(self._record(i, Expert.RGBT, (0.1, 0.5, 0.9)))
             else:
                 records.append(self._record(i, Expert.TIR, (0.1, 0.9, 0.5)))
-        ratios = selection_ratios(SelectionTrace(tuple(records)))
+        ratios = selection_ratios(SelectionTrace.from_records(records))
         assert ratios == (0.0, 0.88, 0.12)
 
     def test_all_rgb(self):
         records = [self._record(i, Expert.RGB, (0.9, 0.1, 0.1)) for i in range(7)]
-        assert selection_ratios(SelectionTrace(tuple(records))) == (1.0, 0.0, 0.0)
+        assert selection_ratios(SelectionTrace.from_records(records)) == (1.0, 0.0, 0.0)
 
     def test_two_expert_split(self):
         records = []
@@ -182,11 +230,11 @@ class TestTrace:
                 records.append(self._record(i, Expert.RGB, (0.9, 0.5, 0.1)))
             else:
                 records.append(self._record(i, Expert.TIR, (0.5, 0.9, 0.1)))
-        assert selection_ratios(SelectionTrace(tuple(records))) == (0.42, 0.58, 0.0)
+        assert selection_ratios(SelectionTrace.from_records(records)) == (0.42, 0.58, 0.0)
 
     def test_empty_trace(self):
         with pytest.raises(EmptyTraceError):
-            selection_ratios(SelectionTrace(()))
+            selection_ratios(SelectionTrace.from_records(()))
 
 
 class TestLossAggregation:

@@ -298,3 +298,30 @@ class TestRunScenario:
             means.append(float(np.mean(aucs)))
         for lo_frac, hi_frac in zip(means, means[1:]):
             assert hi_frac <= lo_frac + 0.02
+
+    def test_builds_no_per_frame_objects(self, monkeypatch):
+        built = []
+        for cls in (Box, FramePrediction):
+            post_init = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, f=post_init: built.append(1) or f(self))
+        cfg = small_cfg(
+            rgb=DegradationProfile(target=Expert.RGB, fraction=0.3, behavior="drifting-box", confidence_noise=0.1),
+            tir=DegradationProfile(target=Expert.TIR, intervals=((3, 9),), behavior="frozen-box"),
+            fused=FusedQualityModel(confidence_noise=0.1),
+        )
+        run_scenario(cfg)
+        assert built == []
+
+
+class TestScenarioConfigIntegers:
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"},
+        {"n_sequences": 2.5}, {"n_sequences": True}, {"n_frames": True}, {"n_frames": 10.0},
+    ])
+    def test_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(**kwargs)
+
+    def test_large_and_numpy_integers_accepted(self):
+        assert ScenarioConfig(seed=99999999999999999999999).seed == 99999999999999999999999
+        assert ScenarioConfig(n_frames=np.int64(7)).n_frames == 7
