@@ -45,8 +45,6 @@ from .model import (
     SequenceAnnotation,
     Subset,
     TruthColumns,
-    center,
-    make_box,
 )
 from .metrics import (
     AbsenceOutcome,

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass, field
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import EmptySubsetError, FusebenchError, NonPositiveScoreError
 from .fusion import EXPERTS, SelectionTrace
@@ -192,6 +193,7 @@ def balanced_indicators(
 # -- export ------------------------------------------------------------------
 
 _FORMATS = ("csv", "json-lines", "pretty-table")
+_jline = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps without an encoder per call
 
 
 def _fmt(v: float) -> str:
@@ -206,23 +208,8 @@ def _fmt_rank(v: float) -> str:
     return f"{int(v)}" if float(v).is_integer() else f"{v:.1f}"
 
 
-def _jline(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False)
-
-
-def _curve_dict(c: Curve) -> dict:
-    return {"thresholds": list(c.thresholds), "scores": list(c.scores)}
-
-
-def _scores_lines(label_key: str, label: str, s: BenchmarkScores) -> list[str]:
-    return [
-        _jline({label_key: label, "pr_at_threshold": s.pr_at_threshold, "sr_auc": s.sr_auc}),
-        _jline({label_key: label, "curve": "pr", **_curve_dict(s.pr_curve)}),
-        _jline({label_key: label, "curve": "sr", **_curve_dict(s.sr_curve)}),
-    ]
-
-
-def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+def _table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    rows = list(rows)
     widths = [len(h) for h in headers]
     for row in rows:
         widths = [max(w, len(c)) for w, c in zip(widths, row)]
@@ -233,140 +220,157 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _export_curve(c: Curve, fmt: str) -> str:
-    if fmt == "csv":
-        return "threshold,score\n" + "".join(f"{_fmt(t)},{_fmt(s)}\n" for t, s in zip(c.thresholds, c.scores))
-    if fmt == "json-lines":
-        lines = [_jline({"type": "curve"})]
-        lines += [_jline({"threshold": t, "score": s}) for t, s in zip(c.thresholds, c.scores)]
-        return "\n".join(lines) + "\n"
-    rows = [[_fmt(t), _fmt(s)] for t, s in zip(c.thresholds, c.scores)]
-    return _table(["threshold", "score"], rows)
+def _scores_records(key: str, parts: Iterable[tuple[str, BenchmarkScores]]) -> Iterator[dict]:
+    for label, s in parts:
+        yield {key: label, "pr_at_threshold": s.pr_at_threshold, "sr_auc": s.sr_auc}
+        for curve, c in (("pr", s.pr_curve), ("sr", s.sr_curve)):
+            yield {key: label, "curve": curve, "thresholds": c.thresholds, "scores": c.scores}
+
+
+def _parse_scores(records: Iterable[dict], key: str) -> dict[str, BenchmarkScores]:
+    parts: dict[str, dict] = {}
+    for o in records:
+        part = parts.setdefault(o[key], {})
+        if "curve" in o:
+            part[o["curve"] + "_curve"] = Curve(o["thresholds"], o["scores"])
+        else:
+            part.update(pr_at_threshold=o["pr_at_threshold"], sr_auc=o["sr_auc"])
+    return {label: BenchmarkScores(**part) for label, part in parts.items()}
+
+
+def _curve_records(c: Curve):
+    return {}, ({"threshold": t, "score": s} for t, s in zip(c.thresholds, c.scores))
+
+
+def _curve_cells(c: Curve, fmt: str):
+    return ["threshold", "score"], [[_fmt(t), _fmt(s)] for t, s in zip(c.thresholds, c.scores)]
+
+
+def _parse_curve(head: dict, records: Iterable[dict]) -> Curve:
+    points = [(o["threshold"], o["score"]) for o in records]
+    return Curve(tuple(t for t, _ in points), tuple(s for _, s in points))
 
 
 def _eval_parts(r: EvaluationReport) -> list[tuple[str, BenchmarkScores]]:
-    parts = [("overall", r.overall)]
-    parts += [(tag, r.subsets[tag]) for tag in ("rgb", "tir") if tag in r.subsets]
-    return parts
+    return [("overall", r.overall), *((tag, r.subsets[tag]) for tag in ("rgb", "tir") if tag in r.subsets)]
 
 
-def _export_evaluation(r: EvaluationReport, fmt: str) -> str:
-    if fmt == "json-lines":
-        head = {
-            "type": "evaluation-report",
-            "tracker": r.tracker,
-            "pr_report_threshold": r.pr_report_threshold,
-            "sequence_counts": dict(r.sequence_counts),
-            "frame_counts": dict(r.frame_counts),
-            "selection_ratios": list(r.selection_ratios) if r.selection_ratios else None,
-        }
-        lines = [_jline(head)]
-        for part, s in _eval_parts(r):
-            lines += _scores_lines("part", part, s)
-        return "\n".join(lines) + "\n"
-    rows = []
-    for part, s in _eval_parts(r):
-        rows.append([
-            part,
-            str(r.sequence_counts.get(part, "")),
-            str(r.frame_counts.get(part, "")),
-            _fmt(s.pr_at_threshold),
-            _fmt(s.sr_auc),
-        ])
+def _evaluation_records(r: EvaluationReport):
+    head = {"tracker": r.tracker, "pr_report_threshold": r.pr_report_threshold,
+            "sequence_counts": dict(r.sequence_counts), "frame_counts": dict(r.frame_counts),
+            "selection_ratios": list(r.selection_ratios) if r.selection_ratios else None}
+    return head, _scores_records("part", _eval_parts(r))
+
+
+def _evaluation_cells(r: EvaluationReport, fmt: str):
     headers = ["part", "sequences", "frames", "pr_at_threshold", "sr_auc"]
-    if fmt == "csv":
-        return ",".join(headers) + "\n" + "".join(",".join(row) + "\n" for row in rows)
-    return _table(headers, rows)
+    return headers, [
+        [part, str(r.sequence_counts.get(part, "")), str(r.frame_counts.get(part, "")),
+         _fmt(s.pr_at_threshold), _fmt(s.sr_auc)]
+        for part, s in _eval_parts(r)
+    ]
 
 
-def _export_balanced(t: BalancedIndicatorTable, fmt: str) -> str:
-    if fmt == "json-lines":
-        lines = [_jline({"type": "balanced-table", "metric": t.metric})]
-        for row in t.rows:
-            lines.append(_jline({
-                "benchmark": row.benchmark,
-                "rgbt": row.rgbt,
-                "rgb": row.rgb,
-                "tir": row.tir,
-                "gap_fusion": row.gap_fusion,
-                "gap_modality": row.gap_modality,
-                "rank_fusion": row.rank_fusion,
-                "rank_modality": row.rank_modality,
-                "mean_rank": row.mean_rank,
-            }))
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        headers = "benchmark,rgbt,rgb,tir,gap_fusion,rank_fusion,gap_modality,rank_modality,mean_rank"
-        body = "".join(
-            f"{r.benchmark},{_fmt_pct(r.rgbt)},{_fmt_pct(r.rgb)},{_fmt_pct(r.tir)},"
-            f"{_fmt_pct(r.gap_fusion)},{_fmt_rank(r.rank_fusion)},"
-            f"{_fmt_pct(r.gap_modality)},{_fmt_rank(r.rank_modality)},{_fmt_rank(r.mean_rank)}\n"
-            for r in t.rows
-        )
-        return headers + "\n" + body
-    headers = ["benchmark", "RGBT", "RGB", "TIR", "(1-TIR/RGBT)/%", "(1-TIR/RGB)/%", "mRank"]
+def _parse_evaluation(head: dict, records: Iterable[dict]) -> EvaluationReport:
+    ratios = head.get("selection_ratios")
+    fields = dict(
+        tracker=head["tracker"],
+        pr_report_threshold=head["pr_report_threshold"],
+        sequence_counts=dict(head["sequence_counts"]),
+        frame_counts=dict(head["frame_counts"]),
+        selection_ratios=tuple(ratios) if ratios else None,
+    )
+    subsets = _parse_scores(records, "part")
+    return EvaluationReport(overall=subsets.pop("overall"), subsets=subsets, **fields)
+
+
+def _balanced_records(t: BalancedIndicatorTable):
+    return {"metric": t.metric}, map(asdict, t.rows)
+
+
+def _balanced_cells(t: BalancedIndicatorTable, fmt: str):
     rows = [
-        [
-            r.benchmark,
-            _fmt_pct(r.rgbt),
-            _fmt_pct(r.rgb),
-            _fmt_pct(r.tir),
-            f"{_fmt_pct(r.gap_fusion)} ({_fmt_rank(r.rank_fusion)})",
-            f"{_fmt_pct(r.gap_modality)} ({_fmt_rank(r.rank_modality)})",
-            _fmt_rank(r.mean_rank),
-        ]
+        [r.benchmark, _fmt_pct(r.rgbt), _fmt_pct(r.rgb), _fmt_pct(r.tir),
+         _fmt_pct(r.gap_fusion), _fmt_rank(r.rank_fusion),
+         _fmt_pct(r.gap_modality), _fmt_rank(r.rank_modality), _fmt_rank(r.mean_rank)]
         for r in t.rows
     ]
-    return _table(headers, rows)
-
-
-def _export_trace(t: SelectionTrace, fmt: str) -> str:
-    if fmt == "json-lines":
-        lines = [_jline({"type": "selection-trace"})]
-        for r in t.records:
-            lines.append(_jline({
-                "frame": r.frame,
-                "chosen": r.chosen.value,
-                "cs_rgb": r.cs_rgb,
-                "cs_tir": r.cs_tir,
-                "cs_rgbt": r.cs_rgbt,
-            }))
-        return "\n".join(lines) + "\n"
     if fmt == "csv":
-        # confidences keep full precision so the trace round-trips
-        return "frame,chosen,cs_rgb,cs_tir,cs_rgbt\n" + "".join(
-            f"{r.frame},{r.chosen.value},{r.cs_rgb!r},{r.cs_tir!r},{r.cs_rgbt!r}\n"
-            for r in t.records
-        )
-    rows = [
-        [str(r.frame), r.chosen.value, _fmt(r.cs_rgb), _fmt(r.cs_tir), _fmt(r.cs_rgbt)]
-        for r in t.records
-    ]
-    return _table(["frame", "chosen", "cs_rgb", "cs_tir", "cs_rgbt"], rows)
+        return ["benchmark", "rgbt", "rgb", "tir", "gap_fusion", "rank_fusion",
+                "gap_modality", "rank_modality", "mean_rank"], rows
+    headers = ["benchmark", "RGBT", "RGB", "TIR", "(1-TIR/RGBT)/%", "(1-TIR/RGB)/%", "mRank"]
+    return headers, [[*c[:4], f"{c[4]} ({c[5]})", f"{c[6]} ({c[7]})", c[8]] for c in rows]
 
 
-def _export_scenario(r: ScenarioReport, fmt: str) -> str:
-    if fmt == "json-lines":
-        head = {
-            "type": "scenario-report",
-            "n_sequences": r.n_sequences,
-            "n_frames": r.n_frames,
-            "seed": r.seed,
-            "selection_ratios": list(r.selection_ratios),
-        }
-        lines = [_jline(head)]
-        for policy, s in r.policies.items():
-            lines += _scores_lines("policy", policy, s)
-        return "\n".join(lines) + "\n"
-    rr, rt, rf = r.selection_ratios
-    rows = []
-    for policy, s in r.policies.items():
-        ratios = [_fmt(rr), _fmt(rt), _fmt(rf)] if policy == "selection" else ["", "", ""]
-        rows.append([policy, _fmt(s.pr_at_threshold), _fmt(s.sr_auc), *ratios])
+def _parse_balanced(head: dict, records: Iterable[dict]) -> BalancedIndicatorTable:
+    return BalancedIndicatorTable(
+        metric=head["metric"], rows=tuple(BalancedIndicatorRow(**o) for o in records)
+    )
+
+
+def _scenario_records(r: ScenarioReport):
+    head = {"n_sequences": r.n_sequences, "n_frames": r.n_frames, "seed": r.seed,
+            "selection_ratios": list(r.selection_ratios)}
+    return head, _scores_records("policy", r.policies.items())
+
+
+def _scenario_cells(r: ScenarioReport, fmt: str):
+    ratios = [_fmt(v) for v in r.selection_ratios]
     headers = ["policy", "pr_at_threshold", "sr_auc", "ratio_rgb", "ratio_tir", "ratio_rgbt"]
-    if fmt == "csv":
-        return ",".join(headers) + "\n" + "".join(",".join(row) + "\n" for row in rows)
-    return _table(headers, rows)
+    return headers, [
+        [policy, _fmt(s.pr_at_threshold), _fmt(s.sr_auc), *(ratios if policy == "selection" else ["", "", ""])]
+        for policy, s in r.policies.items()
+    ]
+
+
+def _parse_scenario(head: dict, records: Iterable[dict]) -> ScenarioReport:
+    return ScenarioReport(
+        selection_ratios=tuple(head["selection_ratios"]), n_sequences=head["n_sequences"],
+        n_frames=head["n_frames"], seed=head["seed"], policies=_parse_scores(records, "policy"),
+    )
+
+
+_TRACE_COLUMNS = ("frame", "chosen", "cs_rgb", "cs_tir", "cs_rgbt")
+
+
+def _trace_rows(t: SelectionTrace) -> Iterator[tuple]:
+    """One tuple of :data:`_TRACE_COLUMNS` per frame, read from the columns."""
+    names = [e.value for e in EXPERTS]
+    return ((i, names[c], *cs) for i, (c, cs) in enumerate(zip(t.chosen.tolist(), t.confidences.tolist())))
+
+
+def _trace_records(t: SelectionTrace):
+    return {}, (dict(zip(_TRACE_COLUMNS, row)) for row in _trace_rows(t))
+
+
+def _trace_cells(t: SelectionTrace, fmt: str):
+    # csv confidences keep full precision so the trace round-trips
+    f = repr if fmt == "csv" else _fmt
+    return _TRACE_COLUMNS, ((str(i), e, f(a), f(b), f(c)) for i, e, a, b, c in _trace_rows(t))
+
+
+def _parse_trace(head: dict, records: Iterable[dict]) -> SelectionTrace:
+    rows = [(EXPERTS.index(Expert(o["chosen"])), (o["cs_rgb"], o["cs_tir"], o["cs_rgbt"])) for o in records]
+    return SelectionTrace([c for c, _ in rows], [cs for _, cs in rows])
+
+
+class _Schema(NamedTuple):
+    """One report type, rendered to every format from these three functions."""
+
+    cls: type
+    type: str  # the json-lines header's "type"
+    records: Callable  # report -> (header fields, json-lines records), full precision
+    cells: Callable  # (report, "csv" | "pretty-table") -> (headers, iterable of rows of cells)
+    parse: Callable  # (header, iterator over records) -> report; reads header fields first
+
+
+_SCHEMAS = (
+    _Schema(Curve, "curve", _curve_records, _curve_cells, _parse_curve),
+    _Schema(EvaluationReport, "evaluation-report", _evaluation_records, _evaluation_cells, _parse_evaluation),
+    _Schema(BalancedIndicatorTable, "balanced-table", _balanced_records, _balanced_cells, _parse_balanced),
+    _Schema(ScenarioReport, "scenario-report", _scenario_records, _scenario_cells, _parse_scenario),
+    _Schema(SelectionTrace, "selection-trace", _trace_records, _trace_cells, _parse_trace),
+)
 
 
 def export_report(
@@ -376,8 +380,9 @@ def export_report(
     """Serialize a report; formats: csv, json-lines, pretty-table ("table").
 
     Column orders are stable. csv and pretty-table print reals with fixed
-    precision (4 decimals; 1 decimal in percent tables); json-lines keeps
-    full precision and round-trips through :func:`parse_report`
+    precision (4 decimals; 1 decimal in percent tables), except that a
+    selection trace's csv keeps full precision; json-lines keeps full
+    precision and round-trips through :func:`parse_report`
     byte-identically. Pretty tables are for terminals and carry no
     stability guarantee.
     """
@@ -385,101 +390,50 @@ def export_report(
         fmt = "pretty-table"
     if fmt not in _FORMATS:
         raise FusebenchError(f"unknown format {fmt!r}; use one of {_FORMATS}")
-    if isinstance(report, Curve):
-        return _export_curve(report, fmt)
-    if isinstance(report, EvaluationReport):
-        return _export_evaluation(report, fmt)
-    if isinstance(report, BalancedIndicatorTable):
-        return _export_balanced(report, fmt)
-    if isinstance(report, ScenarioReport):
-        return _export_scenario(report, fmt)
-    if isinstance(report, SelectionTrace):
-        return _export_trace(report, fmt)
-    raise FusebenchError(f"cannot export object of type {type(report).__name__}")
-
-
-# -- json-lines parsing (round-trip support) ----------------------------------
-
-
-def _collect_scores(
-    lines: list[dict], label_key: str
-) -> dict[str, BenchmarkScores]:
-    summaries: dict[str, dict] = {}
-    curves: dict[tuple[str, str], Curve] = {}
-    order: list[str] = []
-    for obj in lines:
-        label = obj[label_key]
-        if label not in order:
-            order.append(label)
-        if "curve" in obj:
-            curves[(label, obj["curve"])] = Curve(obj["thresholds"], obj["scores"])
-        else:
-            summaries[label] = obj
-    out: dict[str, BenchmarkScores] = {}
-    for label in order:
-        out[label] = BenchmarkScores(
-            pr_curve=curves[(label, "pr")],
-            sr_curve=curves[(label, "sr")],
-            pr_at_threshold=summaries[label]["pr_at_threshold"],
-            sr_auc=summaries[label]["sr_auc"],
-        )
-    return out
+    schema = next((s for s in _SCHEMAS if isinstance(report, s.cls)), None)
+    if schema is None:
+        raise FusebenchError(f"cannot export object of type {type(report).__name__}")
+    if fmt == "json-lines":
+        head, records = schema.records(report)
+        return "\n".join(map(_jline, chain([{"type": schema.type, **head}], records))) + "\n"
+    headers, rows = schema.cells(report, fmt)
+    if fmt == "csv":
+        return "".join(",".join(cells) + "\n" for cells in chain([headers], rows))
+    return _table(headers, rows)
 
 
 def parse_report(
     text: str,
 ) -> EvaluationReport | BalancedIndicatorTable | ScenarioReport | SelectionTrace | Curve:
-    """Parse a json-lines export back into its report object."""
-    lines = [json.loads(line) for line in text.splitlines() if line.strip()]
-    if not lines or "type" not in lines[0]:
-        raise FusebenchError("not a json-lines report: missing type header")
-    head = lines[0]
-    kind = head["type"]
-    if kind == "curve":
-        return Curve(
-            tuple(o["threshold"] for o in lines[1:]),
-            tuple(o["score"] for o in lines[1:]),
-        )
-    if kind == "evaluation-report":
-        scores = _collect_scores(lines[1:], "part")
-        ratios = head.get("selection_ratios")
-        return EvaluationReport(
-            tracker=head["tracker"],
-            pr_report_threshold=head["pr_report_threshold"],
-            overall=scores["overall"],
-            subsets={k: v for k, v in scores.items() if k != "overall"},
-            sequence_counts=dict(head["sequence_counts"]),
-            frame_counts=dict(head["frame_counts"]),
-            selection_ratios=tuple(ratios) if ratios else None,
-        )
-    if kind == "balanced-table":
-        rows = tuple(
-            BalancedIndicatorRow(
-                benchmark=o["benchmark"],
-                rgbt=o["rgbt"],
-                rgb=o["rgb"],
-                tir=o["tir"],
-                gap_fusion=o["gap_fusion"],
-                gap_modality=o["gap_modality"],
-                rank_fusion=o["rank_fusion"],
-                rank_modality=o["rank_modality"],
-                mean_rank=o["mean_rank"],
-            )
-            for o in lines[1:]
-        )
-        return BalancedIndicatorTable(rows, metric=head["metric"])
-    if kind == "scenario-report":
-        return ScenarioReport(
-            policies=_collect_scores(lines[1:], "policy"),
-            selection_ratios=tuple(head["selection_ratios"]),
-            n_sequences=head["n_sequences"],
-            n_frames=head["n_frames"],
-            seed=head["seed"],
-        )
-    if kind == "selection-trace":
-        rows = lines[1:]
-        return SelectionTrace(
-            [EXPERTS.index(Expert(o["chosen"])) for o in rows],
-            [(o["cs_rgb"], o["cs_tir"], o["cs_rgbt"]) for o in rows],
-        )
-    raise FusebenchError(f"unknown report type {kind!r}")
+    """Parse a json-lines export back into its report object.
+
+    Malformed input raises :class:`FusebenchError`, naming the line at fault
+    when there is one.
+    """
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    at = None
+
+    def objects():
+        # keeps `at` on the line being read; None once every line is read
+        nonlocal at
+        for at, line in lines:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise TypeError(f"expected a json object, got {type(obj).__name__}")
+            yield obj
+        at = None
+
+    try:
+        objs = objects()
+        head = next(objs, {})
+        schema = next((s for s in _SCHEMAS if s.type == head.get("type")), None)
+        if schema is None:
+            raise FusebenchError(f"not a json-lines report: header type {head.get('type')!r} is unknown")
+        return schema.parse(head, objs)
+    except FusebenchError:
+        raise
+    except json.JSONDecodeError as e:
+        raise FusebenchError(f"line {at}: not json: {e.msg}") from e
+    except (KeyError, TypeError, ValueError) as e:
+        detail = f"missing key {e}" if isinstance(e, KeyError) else e
+        raise FusebenchError(f"{f'line {at}' if at else 'report'}: malformed report: {detail}") from e

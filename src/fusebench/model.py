@@ -40,8 +40,6 @@ __all__ = [
     "SequenceAnnotation",
     "ExpertStream",
     "DatasetManifest",
-    "make_box",
-    "center",
 ]
 
 
@@ -101,16 +99,6 @@ class Box:
 
     def shifted(self, dx: float, dy: float) -> "Box":
         return Box(self.x + dx, self.y + dy, self.w, self.h)
-
-
-def make_box(x: float, y: float, w: float, h: float) -> Box:
-    """Validating constructor; rejects non-finite values and negative extents."""
-    return Box(x, y, w, h)
-
-
-def center(b: Box) -> tuple[float, float]:
-    """Center of a box, as a free function."""
-    return b.center()
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from fusebench import (
     EmptySubsetError,
     FramePrediction,
     FrameTruth,
+    FusebenchError,
     MetricConfig,
     NonPositiveScoreError,
     SequenceAnnotation,
@@ -24,6 +25,8 @@ from fusebench import (
     parse_report,
     run_scenario,
     ScenarioConfig,
+    SelectionRecord,
+    SelectionTrace,
     subset_manifest,
 )
 from fusebench import analysis
@@ -209,6 +212,14 @@ class TestBalancedIndicators:
         assert math.isclose(sum(r.rank_modality for r in a.rows), n * (n + 1) / 2)
 
 
+# exact ties: every winner attains the row maximum, which another expert
+# may share; 1/3 prints differently in full precision and at 4 decimals
+TIED_TRACE = SelectionTrace(
+    [0, 2, 1, 2, 0],
+    [(1 / 3, 1 / 3, 1 / 3), (0.1, 0.2, 0.1 + 0.2), (0.25, 0.5, 0.5), (2 / 3, 0.0, 2 / 3), (1.0, 0.5, 1.0)],
+)
+
+
 class TestExport:
     def test_curve_csv_has_one_row_per_point(self):
         grid = tuple(np.linspace(0, 1, 21))
@@ -246,9 +257,54 @@ class TestExport:
         manifest, results = random_benchmark(rng, n_sequences=4, max_frames=10)
         self._round_trip(compositional_eval(manifest, results))
         self._round_trip(run_scenario(ScenarioConfig(n_sequences=2, n_frames=10, seed=1)))
+        self._round_trip(TIED_TRACE)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines", "pretty-table"])
+    def test_trace_export_builds_no_selection_record(self, monkeypatch, fmt):
+        built = []
+        post_init = SelectionRecord.__post_init__
+        monkeypatch.setattr(SelectionRecord, "__post_init__", lambda self: built.append(1) or post_init(self))
+        trace = SelectionTrace(TIED_TRACE.chosen, TIED_TRACE.confidences)
+        text = export_report(trace, fmt)
+        assert built == []
+        assert len(text.splitlines()) == len(trace) + (1 if fmt != "pretty-table" else 2)
+        list(trace)  # per-frame access builds them
+        assert len(built) == len(trace)
 
     def test_sr_table_round_trip_preserves_values(self):
         table = balanced_indicators(SR_TABLE, metric="SR")
         back = parse_report(export_report(table, "json-lines"))
         assert isinstance(back, BalancedIndicatorTable)
         assert back == table
+
+
+def _balanced_row_without_rgbt() -> str:
+    head, row = export_report(balanced_indicators(PR_TABLE[:1]), "json-lines").splitlines()
+    return head + "\n" + row.replace('"rgbt": 92.9, ', "")
+
+
+class TestParseReportRejectsMalformedInput:
+    CASES = {
+        "curve-missing-key": ('{"type":"curve"}\n{"x":1}', "line 2: malformed report: missing key 'threshold'"),
+        "balanced-missing-rgbt": (_balanced_row_without_rgbt(), "line 2: malformed report: .*'rgbt'"),
+        "not-json": ("not json", "line 1: not json"),
+        "truncated-line": ('{"type":"curve"}\n\n{"threshold": 0.0, "score": 1.0}\n{"threshold": 1.0',
+                           "line 4: not json"),
+        "unknown-expert": ('{"type":"selection-trace"}\n{"frame":0,"chosen":"zzz","cs_rgb":1,"cs_tir":0,"cs_rgbt":0}',
+                           "line 2: malformed report: 'zzz' is not a valid Expert"),
+        "bare-number": ("5", "line 1: malformed report: expected a json object, got int"),
+        "bare-string": ('"type"', "line 1: malformed report: expected a json object, got str"),
+        "list-record": ('{"type":"curve"}\n[1]', "line 2: malformed report: expected a json object, got list"),
+        "header-missing-key": ('{"type":"evaluation-report"}', "line 1: malformed report: missing key 'tracker'"),
+        "list-type": ('{"type":["curve"]}', r"not a json-lines report: header type \['curve'\] is unknown"),
+        "empty": ("", "not a json-lines report"),
+        "no-type": ('{"kind":"curve"}', "not a json-lines report"),
+        "unknown-type": ('{"type":"histogram"}', "not a json-lines report: header type 'histogram' is unknown"),
+        "bad-value": ('{"type":"curve"}\n{"threshold":"a","score":1}', "report: malformed report"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises_fusebench_error_naming_the_line(self, case):
+        text, message = self.CASES[case]
+        with pytest.raises(FusebenchError, match=message):
+            parse_report(text)

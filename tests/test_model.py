@@ -22,8 +22,6 @@ from fusebench import (
     SequenceAnnotation,
     Subset,
     TruthColumns,
-    center,
-    make_box,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -32,29 +30,31 @@ sizes = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=
 
 class TestBox:
     def test_identity_construction(self):
-        assert make_box(0, 0, 2, 2) == Box(0.0, 0.0, 2.0, 2.0)
+        b = Box(0, 0, 2, 2)
+        assert b == Box(0.0, 0.0, 2.0, 2.0)
+        assert all(type(v) is float for v in (b.x, b.y, b.w, b.h))
 
     def test_negative_extent_rejected(self):
         with pytest.raises(NegativeExtentError):
-            make_box(1, 1, -3, 2)
+            Box(1, 1, -3, 2)
         with pytest.raises(NegativeExtentError):
-            make_box(1, 1, 3, -2)
+            Box(1, 1, 3, -2)
 
     def test_degenerate_box_is_valid(self):
-        b = make_box(0, 0, 0, 0)
+        b = Box(0, 0, 0, 0)
         assert b.area == 0.0
         assert b.center() == (0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(NonFiniteError):
-            make_box(bad, 0, 1, 1)
+            Box(bad, 0, 1, 1)
         with pytest.raises(NonFiniteError):
-            make_box(0, 0, bad, 1)
+            Box(0, 0, bad, 1)
 
     def test_center_examples(self):
-        assert center(Box(0, 0, 2, 2)) == (1.0, 1.0)
-        assert center(Box(3, 4, 2, 2)) == (4.0, 5.0)
+        assert Box(0, 0, 2, 2).center() == (1.0, 1.0)
+        assert Box(3, 4, 2, 2).center() == (4.0, 5.0)
 
     @given(x=finite, y=finite, w=sizes, h=sizes, dx=finite, dy=finite)
     def test_center_translation_equivariance(self, x, y, w, h, dx, dy):
