@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,9 @@ from fusebench import (
     run_scenario,
     synthesize_fused_expert,
 )
+from fusebench import io as fio
+from reference_simulate import reference_run_scenario
+from test_golden_simulate import SCENARIOS as GOLDEN_SCENARIOS
 
 
 def small_cfg(**kwargs) -> ScenarioConfig:
@@ -311,6 +315,72 @@ class TestRunScenario:
         )
         run_scenario(cfg)
         assert built == []
+
+
+CUSTOM_GRID = MetricConfig(
+    th_s=0.3,
+    th_p=8.0,
+    success_thresholds=(0.0, 0.1, 0.3, 0.55, 0.9, 1.0),
+    precision_thresholds=(0.0, 2.5, 5.0, 8.0, 30.0),
+    pr_report_threshold=5.0,
+)
+
+METRIC_CONFIGS = {
+    "sequence-mean": MetricConfig(pooling="sequence-mean"),
+    "custom-grid": CUSTOM_GRID,
+    "sequence-mean-custom-grid": replace(CUSTOM_GRID, pooling="sequence-mean"),
+}
+
+PARITY_SCENARIOS = {
+    **GOLDEN_SCENARIOS,
+    **{name: fio.bundled_scenario(name) for name in fio.bundled_scenario_names()},
+    "one-sequence": small_cfg(
+        n_sequences=1, n_frames=60,
+        rgb=DegradationProfile(target=Expert.RGB, fraction=0.4, behavior="drifting-box", confidence_noise=0.1),
+    ),
+    # 20 whole sequences fill a 4,096-frame block; the 21st is alone in the last
+    "partial-last-block": ScenarioConfig(
+        n_sequences=21, n_frames=200, seed=8,
+        rgb=DegradationProfile(target=Expert.RGB, fraction=0.3, behavior="drifting-box", confidence_noise=0.1),
+        tir=DegradationProfile(target=Expert.TIR, intervals=((20, 90),), behavior="frozen-box"),
+        fused=FusedQualityModel(confidence_noise=0.05),
+    ),
+    # each sequence is longer than a block
+    "sequence-longer-than-block": ScenarioConfig(
+        n_sequences=2, n_frames=5000, seed=4,
+        rgb=DegradationProfile(target=Expert.RGB, intervals=((100, 900), (3000, 4999)), confidence_noise=0.2),
+        tir=DegradationProfile(target=Expert.TIR, fraction=0.2, behavior="drifting-box"),
+    ),
+}
+
+
+class TestBlockParity:
+    """``run_scenario`` reports equal the per-sequence reference byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_SCENARIOS))
+    def test_default_metrics(self, name):
+        cfg = PARITY_SCENARIOS[name]
+        assert export_report(run_scenario(cfg), "json-lines") == export_report(
+            reference_run_scenario(cfg), "json-lines"
+        )
+
+    @pytest.mark.parametrize("metric_cfg", METRIC_CONFIGS.values(), ids=METRIC_CONFIGS.keys())
+    @pytest.mark.parametrize("name", [*sorted(GOLDEN_SCENARIOS), "partial-last-block", "one-sequence"])
+    def test_metric_configs(self, name, metric_cfg):
+        cfg = PARITY_SCENARIOS[name]
+        assert export_report(run_scenario(cfg, metric_cfg), "json-lines") == export_report(
+            reference_run_scenario(cfg, metric_cfg), "json-lines"
+        )
+
+    def test_kept_sequence_rows(self):
+        cfg = PARITY_SCENARIOS["partial-last-block"]
+        got, want = run_scenario(cfg, CUSTOM_GRID), reference_run_scenario(cfg, CUSTOM_GRID)
+        shapes = {"sequence_sr": (21, 6), "sequence_pr": (21, 5)}
+        for policy in POLICIES:
+            for rows, shape in shapes.items():
+                a, b = getattr(got.policies[policy], rows), getattr(want.policies[policy], rows)
+                assert a.shape == b.shape == shape
+                assert a.tobytes() == b.tobytes(), (policy, rows)
 
 
 class TestScenarioConfigIntegers:
