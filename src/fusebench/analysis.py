@@ -19,6 +19,8 @@ only for display.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -398,7 +400,9 @@ def export_report(
         return "\n".join(map(_jline, chain([{"type": schema.type, **head}], records))) + "\n"
     headers, rows = schema.cells(report, fmt)
     if fmt == "csv":
-        return "".join(",".join(cells) + "\n" for cells in chain([headers], rows))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(chain([headers], rows))
+        return buf.getvalue()
     return _table(headers, rows)
 
 

@@ -227,20 +227,29 @@ def select_expert(
     raise AssertionError("unreachable: some expert attains the maximum")
 
 
+def _tie_argmax(scores: np.ndarray, tie: TiePolicy) -> np.ndarray:
+    """Per row of a ``(..., 3)`` score array whose columns follow
+    :data:`EXPERTS`, the column with the highest score.
+
+    The argmax is taken over the columns in tie-policy order, so an exact
+    tie goes to the preferred expert, as in :func:`select_expert`.
+    """
+    order = np.array([EXPERTS.index(e) for e in tie.order])
+    return order[np.argmax(scores[..., order], axis=-1)]
+
+
 def _select_by_score(
     streams: tuple[ExpertStream, ExpertStream, ExpertStream],
     scores: np.ndarray,
     tie: TiePolicy,
 ) -> tuple[np.ndarray, PredictionColumns]:
-    """Per frame, the stream with the highest score, and its predictions.
+    """Per frame, the stream with the highest score (:func:`_tie_argmax`
+    of the ``(n, 3)`` ``scores``), and its predictions.
 
-    ``streams`` and the columns of the ``(n, 3)`` ``scores`` matrix follow
-    :data:`EXPERTS`. The argmax is taken over the columns in tie-policy
-    order, so an exact tie goes to the preferred expert, as in
-    :func:`select_expert`. Returns the chosen column per frame.
+    ``streams`` follow :data:`EXPERTS`. Returns the chosen column per
+    frame.
     """
-    order = np.array([EXPERTS.index(e) for e in tie.order])
-    chosen = order[np.argmax(scores[:, order], axis=1)]
+    chosen = _tie_argmax(scores, tie)
     frames = np.arange(len(chosen))
     preds = [s.predictions for s in streams]
     picked = PredictionColumns(

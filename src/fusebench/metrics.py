@@ -297,15 +297,15 @@ def _py_min(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray:
     return np.where(b < a, b, a)
 
 
-def _frame_values(
-    gt: TruthColumns, pred: PredictionColumns
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _frame_values(gt, pred) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-frame overlap, centre distance and correct-absence mask.
 
-    Each value equals the scalar :func:`iou` / :func:`center_distance`
-    bit for bit, being the same float operations in the same order. The
-    distance is NaN, which passes no threshold, on every frame where
-    either side is absent.
+    ``gt`` and ``pred`` carry ``boxes`` ``(..., 4)`` and ``present``
+    ``(...)`` arrays laid out as in :class:`FrameColumns`: one sequence, or
+    a block of equal-length sequences. Each value equals the scalar
+    :func:`iou` / :func:`center_distance` bit for bit, being the same
+    float operations in the same order. The distance is NaN, which passes
+    no threshold, on every frame where either side is absent.
     """
     g, p = gt.boxes, pred.boxes
     both = gt.present & pred.present
@@ -315,15 +315,17 @@ def _frame_values(
         o = _py_max(lo_a, lo_b)
         return _py_max(0.0, _py_min((lo_a - o) + len_a, (lo_b - o) + len_b))
 
-    inter = overlap(g[:, 0], g[:, 2], p[:, 0], p[:, 2]) * overlap(g[:, 1], g[:, 3], p[:, 1], p[:, 3])
-    union = g[:, 2] * g[:, 3] + p[:, 2] * p[:, 3] - inter
+    inter = overlap(g[..., 0], g[..., 2], p[..., 0], p[..., 2]) * overlap(
+        g[..., 1], g[..., 3], p[..., 1], p[..., 3]
+    )
+    union = g[..., 2] * g[..., 3] + p[..., 2] * p[..., 3] - inter
     positive = union > 0.0
     ratio = np.divide(inter, union, out=np.zeros_like(inter), where=positive)
     ratio = _py_min(1.0, _py_max(0.0, ratio))
     iou_values = np.where(both & positive, ratio, np.where(correct_absence, 1.0, 0.0))
 
-    dx = (g[:, 0] + g[:, 2] / 2.0) - (p[:, 0] + p[:, 2] / 2.0)
-    dy = (g[:, 1] + g[:, 3] / 2.0) - (p[:, 1] + p[:, 3] / 2.0)
+    dx = (g[..., 0] + g[..., 2] / 2.0) - (p[..., 0] + p[..., 2] / 2.0)
+    dy = (g[..., 1] + g[..., 3] / 2.0) - (p[..., 1] + p[..., 3] / 2.0)
     distance = np.where(both, np.sqrt(dx * dx + dy * dy), np.nan)
     return iou_values, distance, correct_absence
 
@@ -353,27 +355,33 @@ def sequence_score(
             raise ConfigError(f"th_s must lie in [0, 1], got {th}")
         if kind == "precision" and th < 0.0:
             raise ConfigError(f"th_p must be non-negative, got {th}")
-    sr, pr = _sequence_curves(frames, pred, np.array([th]), np.array([th]), pooling)
+    sr, pr = _curves(_frame_values(frames, pred), np.array([th]), np.array([th]), pooling)
     return float(sr[0] if kind == "success" else pr[0])
 
 
-def _sequence_curves(
-    gt: TruthColumns, pred: PredictionColumns, ths: np.ndarray, thp: np.ndarray, pooling: str
+def _curves(
+    values: tuple[np.ndarray, np.ndarray, np.ndarray], ths: np.ndarray, thp: np.ndarray, pooling: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One sequence's success and precision scores at every threshold."""
-    overlap, distance, correct = _frame_values(gt, pred)
-    t = len(overlap)
+    """Success and precision scores at every threshold of each sequence
+    whose :func:`_frame_values` lie along the last axis; the thresholds
+    become the last axis of the result."""
+    overlap, distance, correct = values
+    t = overlap.shape[-1]
     if pooling == "frame":
         # integer indicator counts, so the division matches count / t exactly
-        sr_count = ((overlap > ths[:, None]) | correct).sum(axis=1)
-        pr_count = ((distance <= thp[:, None]) | correct).sum(axis=1)
+        correct = correct[..., None, :]
+        sr_count = ((overlap[..., None, :] > ths[:, None]) | correct).sum(axis=-1)
+        pr_count = ((distance[..., None, :] <= thp[:, None]) | correct).sum(axis=-1)
         return sr_count / t, pr_count / t
     # sequence-mean pooling binarizes the mean raw metric; absence frames
     # contribute their correctness value (1 correct absence, 0 otherwise)
     raw_distance = np.where(np.isnan(distance), correct, distance)
-    mean_s = math.fsum(overlap.tolist()) / t
-    mean_p = math.fsum(raw_distance.tolist()) / t
-    return (mean_s > ths).astype(float), (mean_p <= thp).astype(float)
+
+    def mean(v: np.ndarray) -> np.ndarray:
+        sums = [math.fsum(row) for row in v.reshape(-1, t).tolist()]
+        return (np.array(sums) / t).reshape(v.shape[:-1] + (1,))
+
+    return (mean(overlap) > ths).astype(float), (mean(raw_distance) <= thp).astype(float)
 
 
 def benchmark_scores(
@@ -401,7 +409,7 @@ def benchmark_scores(
             raise MissingSequenceResultError(seq.id)
         pred = PredictionColumns.from_frames(results[seq.id])
         _check_pair(seq.frames, pred, seq.id)
-        sr_seq, pr_seq = _sequence_curves(seq.frames, pred, ths, thp, cfg.pooling)
+        sr_seq, pr_seq = _curves(_frame_values(seq.frames, pred), ths, thp, cfg.pooling)
         sr_rows.append(sr_seq)
         pr_rows.append(pr_seq)
     return _scores_of_rows(np.array(sr_rows), np.array(pr_rows), cfg)

@@ -27,25 +27,26 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, IntervalOutOfBoundsError, LengthMismatchError
-from .fusion import DEFAULT_TIE_POLICY, EXPERTS, TiePolicy, _select_by_score, fuse_streams
+from .fusion import DEFAULT_TIE_POLICY, EXPERTS, TiePolicy, _select_by_score, _tie_argmax
 from .metrics import (
     BenchmarkScores,
     MetricConfig,
+    _curves,
     _frame_values,
     _py_max,
     _py_min,
-    benchmark_scores,
+    _scores_of_rows,
     iou,
 )
 from .model import (
-    DatasetManifest,
     Expert,
     ExpertStream,
+    FrameColumns,
     FramePrediction,
     FrameTruth,
     PredictionColumns,
@@ -180,6 +181,11 @@ class ScenarioConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "extent", (float(self.extent[0]), float(self.extent[1])))
         object.__setattr__(self, "size_range", (float(self.size_range[0]), float(self.size_range[1])))
+        for name in ("extent", "size_range"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.motion_step_std):
+            raise ConfigError(f"motion_step_std must be finite, got {self.motion_step_std}")
         if self.n_sequences < 1 or self.n_frames < 1:
             raise ConfigError("sequence and frame counts must be at least 1")
         if self.extent[0] <= 0 or self.extent[1] <= 0:
@@ -305,39 +311,119 @@ def calibrate_confidence(pred: FramePrediction, gt: FrameTruth, noise: float = 0
 
 
 def _draws(
-    rng: np.random.Generator, used: np.ndarray, normal: np.ndarray, a: np.ndarray, b: np.ndarray
+    rngs: Sequence[np.random.Generator], used: np.ndarray, normal: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """Random draws laid out as a table, made row by row, left to right.
+    """Random draws laid out as one table per sequence, each made by the
+    sequence's own generator row by row, left to right.
 
-    ``used`` (n, k) marks the draws each frame makes; column ``j`` is a
+    ``used`` (S, n, k) marks the draws each frame makes; column ``j`` is a
     ``Normal(a, b)`` draw where ``normal[j]`` and a ``Uniform(a, b)`` draw
     otherwise. Unused entries are 0. Each run of consecutive draws of one
     kind is made in one call, which yields the same numbers as making the
     draws one at a time in that order.
     """
     out = np.zeros(used.shape)
-    if not used.any():
-        return out
-    is_normal = np.broadcast_to(normal, used.shape)[used]
-    a, b = a[used], b[used]
-    values = np.empty(len(is_normal))
-    cuts = (np.flatnonzero(is_normal[1:] != is_normal[:-1]) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, len(is_normal)]):
-        draw = rng.normal if is_normal[lo] else rng.uniform
-        values[lo:hi] = draw(a[lo:hi], b[lo:hi])
-    out[used] = values
+    for rng, used_s, a_s, b_s, out_s in zip(rngs, used, a, b, out):
+        if not used_s.any():
+            continue
+        is_normal = np.broadcast_to(normal, used_s.shape)[used_s]
+        lo, hi = a_s[used_s], b_s[used_s]
+        values = np.empty(len(is_normal))
+        cuts = (np.flatnonzero(is_normal[1:] != is_normal[:-1]) + 1).tolist()
+        for i, j in zip([0, *cuts], [*cuts, len(is_normal)]):
+            draw = rng.normal if is_normal[i] else rng.uniform
+            values[i:j] = draw(lo[i:j], hi[i:j])
+        out_s[used_s] = values
     return out
 
 
+class _Block(NamedTuple):
+    """Frames of a block of equal-length sequences, laid out as in
+    :class:`FrameColumns` with a leading sequence axis: ``(S, T, 4)`` boxes
+    and ``(S, T)`` presence; an expert stream's block adds ``(S, T)``
+    confidences."""
+
+    boxes: np.ndarray
+    present: np.ndarray
+    confidence: np.ndarray | None = None
+
+
+def _row(frames: FrameColumns) -> _Block:
+    """One sequence as a block of one."""
+    return _Block(frames.boxes[None], frames.present[None])
+
+
+def _stream(expert: Expert, block: _Block) -> ExpertStream:
+    """The expert stream of a block of one."""
+    return ExpertStream(expert=expert, predictions=PredictionColumns(*(a[0] for a in block)))
+
+
 def _calibrated(
-    gt: TruthColumns, boxes: np.ndarray, present: np.ndarray, noise: float, noise_draws: np.ndarray
-) -> PredictionColumns:
-    """Predictions whose confidences are :func:`calibrate_confidence` on
-    every frame, given the frames' ``Uniform(-noise, noise)`` draws."""
-    c = _frame_values(gt, PredictionColumns(boxes, present))[0]
-    if noise > 0:
-        c = c + noise_draws
-    return PredictionColumns(boxes, present, _py_min(1.0, _py_max(0.0, c)))
+    gt: _Block, boxes: np.ndarray, present: np.ndarray, noise: float, noise_draws: np.ndarray
+) -> tuple[_Block, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """A stream whose confidences are :func:`calibrate_confidence` on every
+    frame, given the frames' ``Uniform(-noise, noise)`` draws, and the
+    stream's :func:`_frame_values` against ``gt``."""
+    values = _frame_values(gt, _Block(boxes, present))
+    c = values[0] + noise_draws if noise > 0 else values[0]
+    return _Block(boxes, present, _py_min(1.0, _py_max(0.0, c))), values
+
+
+def _degrade_block(
+    gt: _Block,
+    mask: np.ndarray,
+    profile: DegradationProfile,
+    extent: tuple[float, float],
+    rngs: Sequence[np.random.Generator],
+) -> tuple[_Block, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`degrade_modality` of each sequence of a block, given its
+    ``(S, T)`` degraded masks and one generator per sequence."""
+    g, present = gt.boxes, gt.present
+    n_seq, n = mask.shape
+    W, H = float(extent[0]), float(extent[1])
+    informative = present & ~mask
+    behavior = profile.behavior
+    uniform = mask if behavior is DegradedBehavior.UNIFORM_RANDOM_BOX else np.zeros_like(mask)
+    drifting = mask if behavior is DegradedBehavior.DRIFTING_BOX else np.zeros_like(mask)
+
+    # the last informative prediction before each frame: the first present
+    # target (or a fallback box) until the first informative frame
+    seqs = np.arange(n_seq)[:, None]
+    fallback = np.array([W / 2.0 - W / 20.0, H / 2.0 - H / 20.0, W / 10.0, H / 10.0])
+    first = g[seqs[:, 0], present.argmax(axis=1)]
+    start_box = np.where(present.any(axis=1)[:, None], first, fallback)[:, None]
+    last = np.maximum.accumulate(np.where(informative, np.arange(n), -1), axis=1)
+    seen = (last >= 0)[..., None]
+    last_size = np.where(seen, g[seqs, last, 2:], start_box[..., 2:])
+    ref_size = np.where(present[..., None], g[..., 2:], last_size)
+    step = 0.15 * (last_size[..., 0] + last_size[..., 1]) / 2.0
+
+    used = np.zeros((n_seq, n, 5), dtype=bool)
+    used[..., :2] = ((informative & (profile.sigma_in > 0)) | drifting)[..., None]
+    used[..., 2:4] = uniform[..., None]
+    used[..., 4] = profile.confidence_noise > 0
+    a = np.zeros((n_seq, n, 5))
+    b = np.zeros((n_seq, n, 5))
+    b[..., :2] = np.where(drifting[..., None], step[..., None], profile.sigma_in * g[..., 2:])
+    b[..., 2:4] = _py_max(np.array([W, H]) - ref_size, 0.0)
+    a[..., 4], b[..., 4] = -profile.confidence_noise, profile.confidence_noise
+    d = _draws(rngs, used, np.array([True, True, False, False, False]), a, b)
+
+    jittered = np.concatenate([g[..., :2] + d[..., :2], g[..., 2:]], axis=-1)
+    last_box = np.where(seen, jittered[seqs, last], start_box)
+    boxes = np.where(informative[..., None], jittered, 0.0)
+    boxes[uniform] = np.concatenate([d[..., 2:4], ref_size], axis=-1)[uniform]
+    if behavior is DegradedBehavior.FROZEN_BOX:
+        boxes[mask] = last_box[mask]
+    # a drift starts from the last informative prediction on the first
+    # frame of each degraded run and accumulates its steps left to right
+    edges = np.diff(np.pad(drifting.astype(np.int8), ((0, 0), (1, 1))), axis=1)
+    run_seq, at = np.nonzero(edges)
+    for s, lo, hi in zip(run_seq[::2].tolist(), at[::2].tolist(), at[1::2].tolist()):
+        walk = np.concatenate([last_box[s, lo : lo + 1, :2], d[s, lo:hi, :2]])
+        boxes[s, lo:hi, :2] = np.cumsum(walk, axis=0)[1:]
+        boxes[s, lo:hi, 2:] = last_box[s, lo, 2:]
+    return _calibrated(gt, boxes, present | mask, profile.confidence_noise, d[..., 4])
 
 
 def degrade_modality(
@@ -380,50 +466,45 @@ def degrade_modality(
             if e > n:
                 raise IntervalOutOfBoundsError(f"interval [{s}, {e}) exceeds sequence length {n}")
     rng = np.random.default_rng(child_seed(seed, 1))
-    W, H = float(extent[0]), float(extent[1])
-    mask = np.asarray(mask, dtype=bool)
-    g, present = gt.frames.boxes, gt.frames.present
-    informative = present & ~mask
-    behavior = profile.behavior
-    uniform = mask if behavior is DegradedBehavior.UNIFORM_RANDOM_BOX else np.zeros(n, dtype=bool)
-    drifting = mask if behavior is DegradedBehavior.DRIFTING_BOX else np.zeros(n, dtype=bool)
+    mask = np.asarray(mask, dtype=bool)[None]
+    return _stream(profile.target, _degrade_block(_row(gt.frames), mask, profile, extent, [rng])[0])
 
-    # the last informative prediction before each frame: the first present
-    # target (or a fallback box) until the first informative frame
-    first = np.flatnonzero(present)
-    fallback = [W / 2.0 - W / 20.0, H / 2.0 - H / 20.0, W / 10.0, H / 10.0]
-    start_box = g[first[0]] if first.size else np.array(fallback)
-    last = np.maximum.accumulate(np.where(informative, np.arange(n), -1))
-    last_size = np.where((last >= 0)[:, None], g[last, 2:], start_box[2:])
-    ref_size = np.where(present[:, None], g[:, 2:], last_size)
-    step = 0.15 * (last_size[:, 0] + last_size[:, 1]) / 2.0
 
-    used = np.zeros((n, 5), dtype=bool)
-    used[:, :2] = (informative & (profile.sigma_in > 0))[:, None] | drifting[:, None]
-    used[:, 2:4] = uniform[:, None]
-    used[:, 4] = profile.confidence_noise > 0
-    a = np.zeros((n, 5))
-    b = np.zeros((n, 5))
-    b[:, :2] = np.where(drifting[:, None], step[:, None], profile.sigma_in * g[:, 2:])
-    b[:, 2:4] = _py_max(np.array([W, H]) - ref_size, 0.0)
-    a[:, 4], b[:, 4] = -profile.confidence_noise, profile.confidence_noise
-    d = _draws(rng, used, np.array([True, True, False, False, False]), a, b)
+def _fuse_block(
+    gt: _Block,
+    q_rgb: np.ndarray,
+    q_tir: np.ndarray,
+    rgb_deg: np.ndarray,
+    tir_deg: np.ndarray,
+    model: FusedQualityModel,
+    rngs: Sequence[np.random.Generator],
+) -> tuple[_Block, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`synthesize_fused_expert` of each sequence of a block, given
+    the ``(S, T)`` input overlaps and degraded masks and one generator per
+    sequence."""
+    a = model.informative_weight
+    best, worst = _py_max(q_rgb, q_tir), _py_min(q_rgb, q_tir)
+    target = np.select(
+        [~rgb_deg & ~tir_deg, rgb_deg & ~tir_deg, tir_deg & ~rgb_deg],
+        [_py_min(1.0, best + model.boost), a * q_tir + (1.0 - a) * q_rgb, a * q_rgb + (1.0 - a) * q_tir],
+        a * best + (1.0 - a) * worst,
+    )
+    q = _py_min(1.0, _py_max(0.0, target))
 
-    jittered = np.column_stack([g[:, :2] + d[:, :2], g[:, 2:]])
-    last_box = np.where((last >= 0)[:, None], jittered[last], start_box)
-    boxes = np.where(informative[:, None], jittered, 0.0)
-    boxes[uniform] = np.column_stack([d[:, 2:4], ref_size])[uniform]
-    if behavior is DegradedBehavior.FROZEN_BOX:
-        boxes[mask] = last_box[mask]
-    # a drift starts from the last informative prediction on the first
-    # frame of each degraded run and accumulates its steps left to right
-    runs = np.flatnonzero(np.diff(np.concatenate([[0], drifting.astype(np.int8), [0]])))
-    for s, e in zip(runs[::2].tolist(), runs[1::2].tolist()):
-        walk = np.concatenate([last_box[s : s + 1, :2], d[s:e, :2]])
-        boxes[s:e, :2] = np.cumsum(walk, axis=0)[1:]
-        boxes[s:e, 2:] = last_box[s, 2:]
-    preds = _calibrated(gt.frames, boxes, present | mask, profile.confidence_noise, d[:, 4])
-    return ExpertStream(expert=profile.target, predictions=preds)
+    g, present = gt.boxes, gt.present
+    noise = model.confidence_noise
+    shifted = present & (g[..., 2] > 0.0) & (g[..., 3] > 0.0)
+    used = np.stack([shifted, np.full(shifted.shape, noise > 0)], axis=-1)
+    lo = np.zeros(used.shape)
+    hi = np.ones(used.shape)
+    lo[..., 1], hi[..., 1] = -noise, noise
+    u = _draws(rngs, used, np.array([False, False]), lo, hi)
+    sign = np.where(u[..., 0] < 0.5, 1.0, -1.0)
+    shift = g[..., 2] * (1.0 - q) / (1.0 + q)
+    boxes = g.copy()
+    boxes[shifted, 0] += (sign * shift)[shifted]
+    boxes[shifted, 1] += 0.0  # a shifted box has y + 0.0, which maps -0.0 to 0.0
+    return _calibrated(gt, boxes, present, noise, u[..., 1])
 
 
 def synthesize_fused_expert(
@@ -458,31 +539,12 @@ def synthesize_fused_expert(
         raise LengthMismatchError("degraded masks must match the sequence length")
 
     rng = np.random.default_rng(_seed_sequence(seed))
-    a = model.informative_weight
     q_rgb = _frame_values(gt.frames, rgb.predictions)[0]
     q_tir = _frame_values(gt.frames, tir.predictions)[0]
-    best, worst = _py_max(q_rgb, q_tir), _py_min(q_rgb, q_tir)
-    target = np.select(
-        [~rgb_deg & ~tir_deg, rgb_deg & ~tir_deg, tir_deg & ~rgb_deg],
-        [_py_min(1.0, best + model.boost), a * q_tir + (1.0 - a) * q_rgb, a * q_rgb + (1.0 - a) * q_tir],
-        a * best + (1.0 - a) * worst,
+    fused, _ = _fuse_block(
+        _row(gt.frames), q_rgb[None], q_tir[None], rgb_deg[None], tir_deg[None], model, [rng]
     )
-    q = _py_min(1.0, _py_max(0.0, target))
-
-    g, present = gt.frames.boxes, gt.frames.present
-    noise = model.confidence_noise
-    shifted = present & (g[:, 2] > 0.0) & (g[:, 3] > 0.0)
-    used = np.column_stack([shifted, np.full(n, noise > 0)])
-    lo = np.column_stack([np.zeros(n), np.full(n, -noise)])
-    hi = np.column_stack([np.ones(n), np.full(n, noise)])
-    u = _draws(rng, used, np.array([False, False]), lo, hi)
-    sign = np.where(u[:, 0] < 0.5, 1.0, -1.0)
-    shift = g[:, 2] * (1.0 - q) / (1.0 + q)
-    boxes = g.copy()
-    boxes[shifted, 0] += (sign * shift)[shifted]
-    boxes[shifted, 1] += 0.0  # a shifted box has y + 0.0, which maps -0.0 to 0.0
-    preds = _calibrated(gt.frames, boxes, present, noise, u[:, 1])
-    return ExpertStream(expert=Expert.RGBT, predictions=preds)
+    return _stream(Expert.RGBT, fused)
 
 
 def oracle_best_selection(
@@ -504,50 +566,85 @@ def oracle_best_selection(
     return _select_by_score(streams, overlaps, tie)[1]
 
 
+#: ``run_scenario`` evaluates blocks of as many whole sequences as fit in
+#: this many frames, and at least one. A bigger block saves little time
+#: and raises peak memory (one block for a 100 x 200-frame scenario takes
+#: about a fifth more than 20-sequence blocks).
+_BLOCK_FRAMES = 4096
+
+
+def _scenario_block(
+    cfg: ScenarioConfig, seqs: range, ths: np.ndarray, thp: np.ndarray, pooling: str
+) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The sequences ``seqs`` of a scenario, evaluated as one block.
+
+    Returns each policy's per-sequence success and precision rows and the
+    number of frames the selection policy gave each expert. Every stream
+    draws from its own per-sequence generator, in the same order as
+    :func:`degrade_modality` and :func:`synthesize_fused_expert`.
+    """
+    truth = [generate_trajectory(cfg, child_seed(cfg.seed, i, 0)).frames for i in seqs]
+    gt = _Block(np.stack([t.boxes for t in truth]), np.stack([t.present for t in truth]))
+
+    def modality(key: int, profile: DegradationProfile):
+        seeds = [child_seed(cfg.seed, i, key) for i in seqs]
+        mask = np.stack([degraded_mask(profile, cfg.n_frames, child_seed(s, 0)) for s in seeds])
+        rngs = [np.random.default_rng(child_seed(s, 1)) for s in seeds]
+        return mask, *_degrade_block(gt, mask, profile, cfg.extent, rngs)
+
+    rgb_mask, rgb, rgb_values = modality(1, cfg.rgb)
+    tir_mask, tir, tir_values = modality(2, cfg.tir)
+    rngs = [np.random.default_rng(child_seed(cfg.seed, i, 3)) for i in seqs]
+    fused, fused_values = _fuse_block(gt, rgb_values[0], tir_values[0], rgb_mask, tir_mask, cfg.fused, rngs)
+
+    # (S, T, 3) overlap, distance and correct-absence, columns as EXPERTS
+    values = [np.stack(v, axis=-1) for v in zip(rgb_values, tir_values, fused_values)]
+    confidences = np.stack([rgb.confidence, tir.confidence, fused.confidence], axis=-1)
+    selected = _tie_argmax(confidences, DEFAULT_TIE_POLICY)
+    best = _tie_argmax(values[0], DEFAULT_TIE_POLICY)
+
+    def picked(chosen: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple(np.take_along_axis(v, chosen[..., None], axis=-1)[..., 0] for v in values)
+
+    policy_values = {
+        "selection": picked(selected),
+        "always-fuse": fused_values,
+        "rgb-only": rgb_values,
+        "tir-only": tir_values,
+        "oracle": picked(best),
+    }
+    curves = {p: _curves(policy_values[p], ths, thp, pooling) for p in POLICIES}
+    return curves, np.bincount(selected.ravel(), minlength=len(EXPERTS))
+
+
 def run_scenario(cfg: ScenarioConfig, metric_cfg: MetricConfig | None = None) -> ScenarioReport:
     """Generate a scenario and evaluate all five policies on it.
 
     Per-sequence seeds are derived statelessly from the master seed, so the
-    result is byte-reproducible and independent of evaluation order.
+    result is byte-reproducible and independent of evaluation order. The
+    sequences are evaluated in blocks of whole sequences (see
+    :data:`_BLOCK_FRAMES`); the report equals evaluating them one at a time.
     """
     metric_cfg = metric_cfg or MetricConfig()
-    annotations: list[SequenceAnnotation] = []
-    results: dict[str, dict[str, PredictionColumns]] = {p: {} for p in POLICIES}
-    chosen_counts = dict.fromkeys(EXPERTS, 0)
-    total_frames = 0
-
-    for i in range(cfg.n_sequences):
-        sid = f"seq-{i:04d}"
-        traj = generate_trajectory(cfg, child_seed(cfg.seed, i, 0), sequence_id=sid)
-        rgb_seed = child_seed(cfg.seed, i, 1)
-        tir_seed = child_seed(cfg.seed, i, 2)
-        rgb_mask = degraded_mask(cfg.rgb, cfg.n_frames, child_seed(rgb_seed, 0))
-        tir_mask = degraded_mask(cfg.tir, cfg.n_frames, child_seed(tir_seed, 0))
-        rgb = degrade_modality(traj, cfg.rgb, rgb_seed, extent=cfg.extent, mask=rgb_mask)
-        tir = degrade_modality(traj, cfg.tir, tir_seed, extent=cfg.extent, mask=tir_mask)
-        fused = synthesize_fused_expert(
-            rgb, tir, traj, cfg.fused, child_seed(cfg.seed, i, 3),
-            rgb_degraded=rgb_mask, tir_degraded=tir_mask,
-        )
-
-        selected, trace = fuse_streams(rgb, tir, fused)
-        for e in EXPERTS:
-            chosen_counts[e] += trace.count(e)
-        total_frames += len(trace)
-
-        annotations.append(traj)
-        results["selection"][sid] = selected
-        results["always-fuse"][sid] = fused.predictions
-        results["rgb-only"][sid] = rgb.predictions
-        results["tir-only"][sid] = tir.predictions
-        results["oracle"][sid] = oracle_best_selection(rgb, tir, fused, traj)
-
-    manifest = DatasetManifest(tuple(annotations), name="scenario")
-    policies = {p: benchmark_scores(manifest, results[p], metric_cfg) for p in POLICIES}
-    ratios = tuple(chosen_counts[e] / total_frames for e in EXPERTS)
+    ths = np.asarray(metric_cfg.success_thresholds)
+    thp = np.asarray(metric_cfg.precision_thresholds)
+    per_block = max(1, _BLOCK_FRAMES // cfg.n_frames)
+    rows: dict[str, tuple[list, list]] = {p: ([], []) for p in POLICIES}
+    chosen_counts = np.zeros(len(EXPERTS), dtype=np.int64)
+    for first in range(0, cfg.n_sequences, per_block):
+        seqs = range(first, min(first + per_block, cfg.n_sequences))
+        curves, counts = _scenario_block(cfg, seqs, ths, thp, metric_cfg.pooling)
+        chosen_counts += counts
+        for p, (sr, pr) in curves.items():
+            rows[p][0].append(sr)
+            rows[p][1].append(pr)
+    policies = {
+        p: _scores_of_rows(np.concatenate(sr), np.concatenate(pr), metric_cfg) for p, (sr, pr) in rows.items()
+    }
+    total_frames = cfg.n_sequences * cfg.n_frames
     return ScenarioReport(
         policies=policies,
-        selection_ratios=ratios,
+        selection_ratios=tuple(c / total_frames for c in chosen_counts.tolist()),
         n_sequences=cfg.n_sequences,
         n_frames=cfg.n_frames,
         seed=cfg.seed,

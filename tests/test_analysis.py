@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -221,6 +222,12 @@ TIED_TRACE = SelectionTrace(
 
 
 class TestExport:
+    def test_csv_quotes_cells(self):
+        table = balanced_indicators([("A,B", 3.0, 2.0, 1.0), ('C "x"', 4.0, 3.5, 1.0)])
+        rows = list(csv.reader(export_report(table, "csv").splitlines()))
+        assert [len(r) for r in rows] == [9, 9, 9]
+        assert [r[0] for r in rows[1:]] == ["A,B", 'C "x"']
+
     def test_curve_csv_has_one_row_per_point(self):
         grid = tuple(np.linspace(0, 1, 21))
         text = export_report(Curve(grid, (1.0,) * 21), "csv")

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -229,6 +231,15 @@ class TestAnalyze:
         table = balanced_indicators([("GTOT", 92.9, 84.9, 64.3), ("MV-RGBT", 65.3, 44.0, 39.7)])
         assert proc.stdout == export_report(table, "csv")
 
+    def test_csv_quotes_names(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text('benchmark,rgbt,rgb,tir\n"A,B",3.0,2.0,1.0\n"C ""x""",4.0,3.5,1.0\n')
+        proc = run_cli("analyze", str(path), "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.reader(proc.stdout.splitlines()))
+        assert [len(r) for r in rows] == [9, 9, 9]
+        assert [r[0] for r in rows[1:]] == ["A,B", 'C "x"']
+
     def test_single_row_ranks(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("benchmark,rgbt,rgb,tir\nonly,9.0,8.0,7.0\n")
@@ -330,8 +341,10 @@ class TestMalformedInputExitsThree:
 
     @pytest.mark.parametrize("config", [
         {"seed": -4}, {"seed": 1.5}, {"n_sequences": 2.5}, {"n_frames": True},
+        {"extent": [math.inf, 480]}, {"extent": [math.nan, 480]}, {"size_range": [30, math.inf]},
+        {"motion_step_std": math.inf}, {"motion_step_std": math.nan},
     ], ids=lambda c: json.dumps(c))
-    def test_bad_scenario_integer_in_config(self, tmp_path, config):
+    def test_bad_scenario_number_in_config(self, tmp_path, config):
         path = _write(tmp_path / "cfg.json", json.dumps({"kind": "scenario", **config}))
         proc = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 3, proc.stderr

@@ -33,6 +33,7 @@ from fusebench import (
     synthesize_fused_expert,
 )
 from fusebench import io as fio
+from fusebench import metrics, simulate
 from reference_simulate import reference_run_scenario
 from test_golden_simulate import SCENARIOS as GOLDEN_SCENARIOS
 
@@ -315,6 +316,15 @@ class TestRunScenario:
         )
         run_scenario(cfg)
         assert built == []
+
+    def test_scores_each_stream_once_per_block(self, monkeypatch):
+        calls = []
+        kernel = metrics._frame_values
+        for module in (metrics, simulate):
+            monkeypatch.setattr(module, "_frame_values", lambda *args: calls.append(1) or kernel(*args))
+        run_scenario(fio.bundled_scenario("common-scenario"))
+        # 100 x 200 frames in 20-sequence blocks: rgb, tir and fused once each
+        assert len(calls) == 5 * 3
 
 
 CUSTOM_GRID = MetricConfig(
