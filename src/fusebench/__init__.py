@@ -51,6 +51,7 @@ from .metrics import (
     BenchmarkScores,
     Curve,
     MetricConfig,
+    ScenarioReport,
     auc,
     benchmark_scores,
     box_iou,
@@ -79,7 +80,6 @@ from .simulate import (
     DegradedBehavior,
     FusedQualityModel,
     ScenarioConfig,
-    ScenarioReport,
     calibrate_confidence,
     child_seed,
     degrade_modality,

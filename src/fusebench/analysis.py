@@ -29,9 +29,8 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import EmptySubsetError, FusebenchError, NonPositiveScoreError
 from .fusion import EXPERTS, SelectionTrace
-from .metrics import BenchmarkScores, Curve, MetricConfig, benchmark_scores
+from .metrics import BenchmarkScores, Curve, MetricConfig, ScenarioReport, benchmark_scores
 from .model import DatasetManifest, Expert, FramePrediction, Subset
-from .simulate import ScenarioReport
 
 __all__ = [
     "EvaluationReport",

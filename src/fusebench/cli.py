@@ -88,22 +88,20 @@ def _metric_config(args) -> MetricConfig:
 
 
 def _flat_scores(values: dict[str, float], prefix: str, s) -> None:
-    values[f"{prefix}pr_at_threshold" if prefix else "pr_at_threshold"] = s.pr_at_threshold
-    values[f"{prefix}sr_auc" if prefix else "sr_auc"] = s.sr_auc
+    values[f"{prefix}pr_at_threshold"] = s.pr_at_threshold
+    values[f"{prefix}sr_auc"] = s.sr_auc
 
 
 def cmd_evaluate(args) -> tuple[dict[str, float], int]:
     manifest = fio.load_manifest(args.manifest)
     cfg = _metric_config(args)
     results = fio.load_results(manifest, args.results)
-    values: dict[str, float] = {}
     if args.subset in ("rgb", "tir"):
-        sub = subset_manifest(manifest, args.subset)
-        report = compositional_eval(sub, results, cfg, tracker=Path(args.results).name)
-        _flat_scores(values, "", report.overall)
-    else:
-        report = compositional_eval(manifest, results, cfg, tracker=Path(args.results).name)
-        _flat_scores(values, "", report.overall)
+        manifest = subset_manifest(manifest, args.subset)
+    report = compositional_eval(manifest, results, cfg, tracker=Path(args.results).name)
+    values: dict[str, float] = {}
+    _flat_scores(values, "", report.overall)
+    if args.subset == "all":
         for tag, s in report.subsets.items():
             _flat_scores(values, f"{tag}.", s)
     _emit(export_report(report, args.format), args.out)

@@ -216,15 +216,10 @@ def select_expert(
 ) -> Expert:
     """The expert attaining the maximum confidence; exact ties fall back to
     the tie policy's preference order."""
-    scores = {Expert.RGB: cs_rgb, Expert.TIR: cs_tir, Expert.RGBT: cs_rgbt}
-    for e, v in scores.items():
+    for e, v in zip(EXPERTS, (cs_rgb, cs_tir, cs_rgbt)):
         if not math.isfinite(v):
             raise NonFiniteError(f"{e} confidence must be finite, got {v!r}")
-    top = max(scores.values())
-    for e in tie.order:
-        if scores[e] == top:
-            return e
-    raise AssertionError("unreachable: some expert attains the maximum")
+    return EXPERTS[_tie_argmax(np.array([cs_rgb, cs_tir, cs_rgbt]), tie)]
 
 
 def _tie_argmax(scores: np.ndarray, tie: TiePolicy) -> np.ndarray:
@@ -232,7 +227,8 @@ def _tie_argmax(scores: np.ndarray, tie: TiePolicy) -> np.ndarray:
     :data:`EXPERTS`, the column with the highest score.
 
     The argmax is taken over the columns in tie-policy order, so an exact
-    tie goes to the preferred expert, as in :func:`select_expert`.
+    tie goes to the preferred expert. :func:`select_expert` is its call
+    on one row.
     """
     order = np.array([EXPERTS.index(e) for e in tie.order])
     return order[np.argmax(scores[..., order], axis=-1)]

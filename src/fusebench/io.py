@@ -42,6 +42,7 @@ errors raised while reading a file name it.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -58,6 +59,7 @@ from .errors import (
     FusebenchError,
     MalformedLineError,
     NegativeExtentError,
+    NonPositiveScoreError,
     UnknownKeyError,
 )
 from .metrics import MetricConfig
@@ -263,9 +265,6 @@ def write_confidences(preds: Sequence[FramePrediction]) -> str:
     return "".join(f"{c!r}\n" for c in cols.confidence.tolist())
 
 
-_SUBSET_TAGS = {"rgb": Subset.RGB_DOMINANT, "tir": Subset.TIR_DOMINANT, "none": Subset.UNSPECIFIED}
-
-
 def _check_keys(d: Mapping, allowed: set[str], where: str) -> None:
     for k in d:
         if k not in allowed:
@@ -280,9 +279,14 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     if not isinstance(raw, dict):
         raise ConfigError(f"manifest {path} must hold a JSON object")
     _check_keys(raw, {"name", "sequences"}, f"manifest {path.name}")
-    entries = raw.get("sequences")
-    if not isinstance(entries, list) or not entries:
+    entries = raw.get("sequences", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"manifest {path}: sequences must be a JSON list")
+    if not entries:
         raise ConfigError(f"manifest {path} must list at least one sequence")
+    name = raw.get("name", "")
+    if not isinstance(name, str):
+        raise ConfigError(f"manifest {path}: name must be a string, got {name!r}")
 
     sequences: list[SequenceAnnotation] = []
     paths: dict[str, str] = {}
@@ -290,34 +294,32 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         if not isinstance(entry, dict):
             raise ConfigError(f"manifest {path}: sequence entries must be objects")
         _check_keys(entry, {"id", "groundtruth", "subset"}, f"manifest {path.name}")
-        try:
-            sid = str(entry["id"])
-            gt_rel = str(entry["groundtruth"])
-        except KeyError as exc:
-            raise ConfigError(f"manifest {path}: sequence entry missing {exc}") from None
+        for key in ("id", "groundtruth"):
+            if key not in entry:
+                raise ConfigError(f"manifest {path}: sequence entry missing {key!r}")
+            if not isinstance(entry[key], str):
+                raise ConfigError(f"manifest {path}: sequence {key} must be a string, got {entry[key]!r}")
+        sid = entry["id"]
         tag = entry.get("subset", "none")
-        if not isinstance(tag, str) or tag not in _SUBSET_TAGS:
-            raise ConfigError(f"manifest {path}: unknown subset tag {tag!r}")
-        gt_path = path.parent / gt_rel
+        try:
+            subset = Subset(tag)
+        except ValueError:
+            raise ConfigError(f"manifest {path}: unknown subset tag {tag!r}") from None
+        gt_path = path.parent / entry["groundtruth"]
         if not gt_path.is_file():
             raise FileNotFoundError(f"groundtruth file for sequence {sid!r} not found: {gt_path}")
         with _reading(gt_path):
             frames = _truth_columns(_read_text(gt_path))
-        sequences.append(SequenceAnnotation(id=sid, frames=frames, subset=_SUBSET_TAGS[tag]))
+        sequences.append(SequenceAnnotation(id=sid, frames=frames, subset=subset))
         paths[sid] = str(gt_path)
-    return DatasetManifest(tuple(sequences), name=str(raw.get("name", "")), paths=paths)
+    return DatasetManifest(tuple(sequences), name=name, paths=paths)
 
 
-def load_results(
-    manifest: DatasetManifest,
-    results_dir: str | Path,
-    with_confidence: bool = False,
-) -> dict[str, PredictionColumns]:
+def load_results(manifest: DatasetManifest, results_dir: str | Path) -> dict[str, PredictionColumns]:
     """Load one prediction file per manifest sequence from a directory.
 
-    Files are ``<sequence id>.txt`` with optional ``.conf`` sidecars
-    (required when ``with_confidence`` is set). Each sequence's
-    predictions are returned as :class:`PredictionColumns`.
+    Files are ``<sequence id>.txt`` with optional ``.conf`` sidecars. Each
+    sequence's predictions are returned as :class:`PredictionColumns`.
     """
     results_dir = Path(results_dir)
     out: dict[str, PredictionColumns] = {}
@@ -326,20 +328,15 @@ def load_results(
         if not pred_path.is_file():
             raise FileNotFoundError(f"prediction file for sequence {seq.id!r} not found: {pred_path}")
         conf_path = Path(str(pred_path) + ".conf")
-        if not conf_path.is_file():
-            if with_confidence:
-                raise FileNotFoundError(
-                    f"confidence sidecar for sequence {seq.id!r} not found: {conf_path}"
-                )
-            conf_path = None
-        out[seq.id] = _load_predictions(pred_path, conf_path)
+        out[seq.id] = _load_predictions(pred_path, conf_path if conf_path.is_file() else None)
     return out
 
 
-def load_expert_stream(path: str | Path, expert: Expert | str, conf_path: str | Path | None = None) -> ExpertStream:
-    """Load a prediction file plus its confidence sidecar as an expert stream."""
+def load_expert_stream(path: str | Path, expert: Expert | str) -> ExpertStream:
+    """Load a prediction file plus its ``.conf`` confidence sidecar as an
+    expert stream."""
     path = Path(path)
-    conf_path = Path(conf_path) if conf_path is not None else Path(str(path) + ".conf")
+    conf_path = Path(str(path) + ".conf")
     if not path.is_file():
         raise FileNotFoundError(f"prediction file not found: {path}")
     if not conf_path.is_file():
@@ -349,31 +346,15 @@ def load_expert_stream(path: str | Path, expert: Expert | str, conf_path: str | 
 
 # -- configuration files ----------------------------------------------------
 
-_METRIC_KEYS = {
-    "kind",
-    "th_s",
-    "th_p",
-    "success_thresholds",
-    "precision_thresholds",
-    "pooling",
-    "pr_report_threshold",
-}
+def _fields(cls: type) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
 
-_SCENARIO_KEYS = {
-    "kind",
-    "n_sequences",
-    "n_frames",
-    "extent",
-    "size_range",
-    "motion_step_std",
-    "seed",
-    "rgb",
-    "tir",
-    "fused",
-}
 
-_PROFILE_KEYS = {"intervals", "fraction", "sigma_in", "behavior", "confidence_noise"}
-_FUSED_KEYS = {"informative_weight", "boost", "confidence_noise"}
+_METRIC_KEYS = _fields(MetricConfig) | {"kind"}
+_SCENARIO_KEYS = _fields(ScenarioConfig) | {"kind"}
+# a profile's target is fixed by the section it is given in
+_PROFILE_KEYS = _fields(DegradationProfile) - {"target"}
+_FUSED_KEYS = _fields(FusedQualityModel)
 
 
 def _config_errors(build):
@@ -460,8 +441,8 @@ def _is_number(text: str) -> bool:
 def load_score_table(path: str | Path) -> list[tuple[str, float, float, float]]:
     """Load a ``benchmark,rgbt,rgb,tir`` CSV table of per-benchmark scores.
 
-    The header row is optional; blank rows are skipped. Errors name the
-    file and line.
+    The header row is optional; blank rows are skipped. Scores must be
+    finite and positive. Errors name the file and line.
     """
     path = Path(path)
     rows: list[tuple[str, float, float, float]] = []
@@ -477,10 +458,13 @@ def load_score_table(path: str | Path) -> list[tuple[str, float, float, float]]:
                     raise FusebenchError(f"line 1: header must be {','.join(_SCORE_TABLE_HEADER)}")
                 continue
             try:
-                rgbt, rgb, tir = (float(s) for s in scores)
+                values = [float(s) for s in scores]
             except ValueError:
                 raise FusebenchError(f"line {line_no}: scores must be numbers") from None
-            rows.append((name, rgbt, rgb, tir))
+            for label, v in zip(_SCORE_TABLE_HEADER[1:], values):
+                if not (math.isfinite(v) and v > 0):
+                    raise NonPositiveScoreError(f"line {line_no}: {label} score must be positive, got {v!r}")
+            rows.append((name, *values))
     return rows
 
 

@@ -64,6 +64,7 @@ __all__ = [
     "MetricConfig",
     "Curve",
     "BenchmarkScores",
+    "ScenarioReport",
     "box_iou",
     "iou",
     "center_distance",
@@ -198,11 +199,20 @@ class BenchmarkScores:
         return _scores_of_rows(self.sequence_sr[rows], self.sequence_pr[rows], cfg)
 
 
-def _overlap(a_lo: float, a_len: float, b_lo: float, b_len: float) -> float:
-    # anchored at the right-most low edge so identical intervals overlap by
-    # exactly their length (fl(x + w) - x generally differs from w)
-    o = max(a_lo, b_lo)
-    return max(0.0, min((a_lo - o) + a_len, (b_lo - o) + b_len))
+@dataclass(frozen=True)
+class ScenarioReport:
+    """Per-policy evaluation results plus the selection-policy trace ratios."""
+
+    policies: dict[str, BenchmarkScores]
+    selection_ratios: tuple[float, float, float]
+    n_sequences: int
+    n_frames: int
+    seed: int
+
+
+def _one_frame(g: FrameTruth, p: FramePrediction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_frame_values` of a single frame pair."""
+    return _frame_values(TruthColumns.from_frames((g,)), PredictionColumns.from_frames((p,)))
 
 
 def box_iou(a: Box, b: Box) -> float:
@@ -212,13 +222,7 @@ def box_iou(a: Box, b: Box) -> float:
     last-ulp overshoot. A union of zero area (two degenerate boxes) yields
     0 to avoid 0/0.
     """
-    ix = _overlap(a.x, a.w, b.x, b.w)
-    iy = _overlap(a.y, a.h, b.y, b.h)
-    inter = ix * iy
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return min(1.0, max(0.0, inter / union))
+    return iou(FrameTruth(a), FramePrediction(b))
 
 
 def iou(g: FrameTruth, p: FramePrediction) -> float:
@@ -226,11 +230,7 @@ def iou(g: FrameTruth, p: FramePrediction) -> float:
 
     Correctly declared absence scores 1; any presence mismatch scores 0.
     """
-    if g.is_present and p.is_present:
-        return box_iou(g.box, p.box)
-    if not g.is_present and not p.is_present:
-        return 1.0
-    return 0.0
+    return float(_one_frame(g, p)[0][0])
 
 
 def center_distance(g: FrameTruth, p: FramePrediction) -> float | AbsenceOutcome:
@@ -241,14 +241,10 @@ def center_distance(g: FrameTruth, p: FramePrediction) -> float | AbsenceOutcome
     correctly declared, ``WRONG_PREDICTION`` otherwise). The precision
     indicator consumes these markers.
     """
+    _, distance, correct = _one_frame(g, p)
     if g.is_present and p.is_present:
-        gx, gy = g.box.center()
-        px, py = p.box.center()
-        dx, dy = gx - px, gy - py
-        return math.sqrt(dx * dx + dy * dy)
-    if not g.is_present and not p.is_present:
-        return AbsenceOutcome.CORRECT_ABSENCE
-    return AbsenceOutcome.WRONG_PREDICTION
+        return float(distance[0])
+    return AbsenceOutcome.CORRECT_ABSENCE if correct[0] else AbsenceOutcome.WRONG_PREDICTION
 
 
 def frame_success_indicator(g: FrameTruth, p: FramePrediction, th_s: float) -> int:
@@ -257,11 +253,7 @@ def frame_success_indicator(g: FrameTruth, p: FramePrediction, th_s: float) -> i
     The comparison is strict (``iou > th_s``). A correctly declared absence
     counts as a success at every threshold, including ``th_s = 1``.
     """
-    if not 0.0 <= th_s <= 1.0:
-        raise ConfigError(f"th_s must lie in [0, 1], got {th_s}")
-    if not g.is_present and not p.is_present:
-        return 1
-    return 1 if iou(g, p) > th_s else 0
+    return int(sequence_score((g,), (p,), th_s, "success"))
 
 
 def frame_precision_indicator(g: FrameTruth, p: FramePrediction, th_p: float) -> int:
@@ -270,14 +262,7 @@ def frame_precision_indicator(g: FrameTruth, p: FramePrediction, th_p: float) ->
     A correctly declared absence passes at every threshold; any presence
     mismatch fails at every threshold.
     """
-    if th_p < 0.0:
-        raise ConfigError(f"th_p must be non-negative, got {th_p}")
-    d = center_distance(g, p)
-    if d is AbsenceOutcome.CORRECT_ABSENCE:
-        return 1
-    if d is AbsenceOutcome.WRONG_PREDICTION:
-        return 0
-    return 1 if d <= th_p else 0
+    return int(sequence_score((g,), (p,), th_p, "precision"))
 
 
 def _check_pair(gt_frames: Sequence, pred: Sequence, what: str) -> None:
@@ -289,7 +274,7 @@ def _check_pair(gt_frames: Sequence, pred: Sequence, what: str) -> None:
 
 def _py_max(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray:
     # Python's max(a, b): b only where b > a, so ties (and signed zeros)
-    # resolve exactly as in the scalar functions
+    # resolve the same way
     return np.where(b > a, b, a)
 
 
@@ -297,15 +282,18 @@ def _py_min(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray:
     return np.where(b < a, b, a)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _frame_values(gt, pred) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-frame overlap, centre distance and correct-absence mask.
 
     ``gt`` and ``pred`` carry ``boxes`` ``(..., 4)`` and ``present``
-    ``(...)`` arrays laid out as in :class:`FrameColumns`: one sequence, or
-    a block of equal-length sequences. Each value equals the scalar
-    :func:`iou` / :func:`center_distance` bit for bit, being the same
-    float operations in the same order. The distance is NaN, which passes
-    no threshold, on every frame where either side is absent.
+    ``(...)`` arrays laid out as in :class:`FrameColumns`: one frame, one
+    sequence, or a block of equal-length sequences. This is the only
+    implementation of the per-frame protocol; the scalar functions call it
+    on one frame. Each axis overlap is anchored at the right-most low edge,
+    so identical boxes overlap by exactly their size. The distance is NaN,
+    which passes no threshold, wherever either side is absent. Overflow on
+    huge finite boxes gives the IEEE result without a warning.
     """
     g, p = gt.boxes, pred.boxes
     both = gt.present & pred.present

@@ -37,14 +37,13 @@ from .fusion import DEFAULT_TIE_POLICY, EXPERTS, TiePolicy, _select_by_score, _t
 # that it finds and wraps a function under a name another module imported
 from .fusion import fuse_streams  # noqa: F401
 from .metrics import (
-    BenchmarkScores,
     MetricConfig,
+    ScenarioReport,
     _curves,
     _frame_values,
     _py_max,
     _py_min,
     _scores_of_rows,
-    iou,
 )
 from .model import (
     Expert,
@@ -206,17 +205,6 @@ class ScenarioConfig:
             raise ConfigError("the tir profile must target the tir modality")
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
-    """Per-policy evaluation results plus the selection-policy trace ratios."""
-
-    policies: dict[str, BenchmarkScores]
-    selection_ratios: tuple[float, float, float]
-    n_sequences: int
-    n_frames: int
-    seed: int
-
-
 def _seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
@@ -306,11 +294,14 @@ def calibrate_confidence(pred: FramePrediction, gt: FrameTruth, noise: float = 0
     """
     if noise < 0 or not math.isfinite(noise):
         raise ConfigError(f"confidence noise must be non-negative, got {noise}")
-    c = iou(gt, pred)
+    draw = 0.0
     if noise > 0:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        c += float(rng.uniform(-noise, noise))
-    return min(1.0, max(0.0, c))
+        draw = rng.uniform(-noise, noise)
+    pred = PredictionColumns.from_frames((pred,))
+    gt = _row(TruthColumns.from_frames((gt,)))
+    block, _ = _calibrated(gt, pred.boxes[None], pred.present[None], noise, np.array([[draw]]))
+    return float(block.confidence[0, 0])
 
 
 def _draws(
@@ -364,9 +355,10 @@ def _stream(expert: Expert, block: _Block) -> ExpertStream:
 def _calibrated(
     gt: _Block, boxes: np.ndarray, present: np.ndarray, noise: float, noise_draws: np.ndarray
 ) -> tuple[_Block, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """A stream whose confidences are :func:`calibrate_confidence` on every
-    frame, given the frames' ``Uniform(-noise, noise)`` draws, and the
-    stream's :func:`_frame_values` against ``gt``."""
+    """A stream whose confidences are each frame's overlap against ``gt``
+    plus its ``Uniform(-noise, noise)`` draw, clamped to [0, 1] (the rule
+    of :func:`calibrate_confidence`), and the stream's
+    :func:`_frame_values` against ``gt``."""
     values = _frame_values(gt, _Block(boxes, present))
     c = values[0] + noise_draws if noise > 0 else values[0]
     return _Block(boxes, present, _py_min(1.0, _py_max(0.0, c))), values

@@ -106,6 +106,16 @@ class TestEvaluate:
         proc = run_cli("evaluate", "--nonsense")
         assert proc.returncode == 2
 
+    def test_huge_finite_boxes_print_no_warnings(self, toy_dataset):
+        # the areas overflow to inf; the protocol still scores the frame
+        _write(toy_dataset["results"] / "seq0.txt", "0,0,1e200,1e200\n" * 10)
+        proc = run_cli(
+            "evaluate", "--manifest", str(toy_dataset["manifest"]),
+            "--results", str(toy_dataset["results"]),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
     def test_deterministic_stdout(self, toy_dataset):
         args = (
             "evaluate", "--manifest", str(toy_dataset["manifest"]),
@@ -256,6 +266,18 @@ class TestAnalyze:
         proc = run_cli("analyze", str(path))
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("row,label,value", [
+        ("A,nan,1,1", "rgbt", "nan"), ("A,1,inf,1", "rgb", "inf"), ("A,1,1,0", "tir", "0.0"),
+    ])
+    def test_bad_score_names_file_and_line(self, tmp_path, row, label, value):
+        path = tmp_path / "t.csv"
+        path.write_text(f"benchmark,rgbt,rgb,tir\nok,3,2,1\n{row}\n")
+        proc = run_cli("analyze", str(path))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: {path}: line 3: {label} score must be positive, got {value}"
+        ]
+
     def test_headerless_input(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("GTOT,92.9,84.9,64.3\n")
@@ -297,6 +319,22 @@ MALFORMED_INPUTS = {
     "manifest subset tag is a list": lambda d: (
         ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
             d["manifest"], json.dumps({"sequences": [{"id": "seq0", "groundtruth": "gt/seq0.txt", "subset": []}]})))],
+        d["manifest"]),
+    "manifest sequence id is a number": lambda d: (
+        ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
+            d["manifest"], json.dumps({"sequences": [{"id": 5, "groundtruth": "gt/seq0.txt"}]})))],
+        d["manifest"]),
+    "manifest groundtruth is a number": lambda d: (
+        ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
+            d["manifest"], json.dumps({"sequences": [{"id": "seq0", "groundtruth": 0}]})))],
+        d["manifest"]),
+    "manifest name is a list": lambda d: (
+        ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
+            d["manifest"], json.dumps({"name": [1], "sequences": [{"id": "seq0", "groundtruth": "gt/seq0.txt"}]})))],
+        d["manifest"]),
+    "manifest sequences is an object": lambda d: (
+        ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
+            d["manifest"], json.dumps({"sequences": {"id": "seq0", "groundtruth": "gt/seq0.txt"}})))],
         d["manifest"]),
     "groundtruth not UTF-8": lambda d: (
         ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"])],

@@ -31,6 +31,7 @@ from fusebench import (
     select_expert,
     selection_ratios,
 )
+from protocol_oracle import ref_overlap_value
 
 conf = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
@@ -158,6 +159,13 @@ GRID = st.integers(min_value=0, max_value=1000).map(lambda k: k / 1000)
 PRESETS = st.sampled_from(["rgbt-first", "tir-first", "rgb-first"])
 
 
+def _winner(row, tie: TiePolicy) -> Expert:
+    """The expert with the highest score in ``row`` (columns as EXPERTS),
+    the tie order deciding between equal scores."""
+    top = max(row)
+    return next(e for e in tie.order if row[EXPERTS.index(e)] == top)
+
+
 @st.composite
 def tied_rows(draw, values):
     """Per-frame triples drawn from a palette of at most three values, so
@@ -177,7 +185,7 @@ class TestTieBreaking:
         ]
         fused, trace = fuse_streams(*streams, tie)
         for i, row in enumerate(rows):
-            want = select_expert(*row, tie)
+            want = _winner(row, tie)
             assert trace.records[i].chosen is want
             assert fused[i] == streams[EXPERTS.index(want)].predictions[i]
 
@@ -194,8 +202,8 @@ class TestTieBreaking:
         ]
         picked = oracle_best_selection(*streams, gt, tie)
         for i, frame in enumerate(gt.frames):
-            overlaps = [iou(frame, s.predictions[i]) for s in streams]
-            want = select_expert(*overlaps, tie)
+            overlaps = [ref_overlap_value(frame, s.predictions[i]) for s in streams]
+            want = _winner(overlaps, tie)
             assert picked[i] == streams[EXPERTS.index(want)].predictions[i]
 
 

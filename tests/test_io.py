@@ -137,6 +137,21 @@ class TestManifest:
             fio.load_manifest(path)
         assert "a" in str(err.value)
 
+    @pytest.mark.parametrize("manifest,message", [
+        ({"sequences": [{"id": 5, "groundtruth": "a.txt"}]}, "sequence id must be a string, got 5"),
+        ({"sequences": [{"id": "a", "groundtruth": 1}]}, "sequence groundtruth must be a string, got 1"),
+        ({"name": [1], "sequences": [{"id": "a", "groundtruth": "a.txt"}]}, "name must be a string, got [1]"),
+        ({"sequences": {"id": "a", "groundtruth": "a.txt"}}, "sequences must be a JSON list"),
+        ({}, "must list at least one sequence"),
+    ])
+    def test_wrong_types_rejected(self, tmp_path, manifest, message):
+        (tmp_path / "a.txt").write_text("1,1,2,2\n")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError) as err:
+            fio.load_manifest(path)
+        assert str(path) in str(err.value) and str(err.value).endswith(message)
+
     def test_unknown_key_rejected(self, tmp_path):
         (tmp_path / "a.txt").write_text("1,1,2,2\n")
         path = tmp_path / "m.json"

@@ -30,7 +30,12 @@ from fusebench import (
 )
 from fusebench.metrics import _frame_values
 from conftest import random_benchmark
-from protocol_oracle import ref_benchmark_curves
+from protocol_oracle import (
+    ref_benchmark_curves,
+    ref_box_iou,
+    ref_center_distance,
+    ref_overlap_value,
+)
 
 P = FrameTruth.present
 box = st.builds(
@@ -290,7 +295,7 @@ class TestBenchmarkScores:
 
 
 class TestKernelParity:
-    def test_per_frame_values_equal_scalar_functions_bit_for_bit(self):
+    def test_per_frame_values_equal_the_oracle_bit_for_bit(self):
         rng = np.random.default_rng(2024)
         manifest, results = random_benchmark(rng, n_sequences=200, max_frames=40)
         checked = {"present": 0, "absent": 0, "degenerate": 0}
@@ -300,18 +305,39 @@ class TestKernelParity:
                 seq.frames, PredictionColumns.from_frames(preds)
             )
             for i, (g, p) in enumerate(zip(seq.frames, preds)):
-                assert overlap[i].tobytes() == np.float64(iou(g, p)).tobytes()
-                d = center_distance(g, p)
-                if isinstance(d, AbsenceOutcome):
+                assert overlap[i].tobytes() == np.float64(ref_overlap_value(g, p)).tobytes()
+                d = ref_center_distance(g, p)
+                if isinstance(d, str):
                     checked["absent"] += 1
                     assert np.isnan(distance[i])
-                    assert correct[i] == (d is AbsenceOutcome.CORRECT_ABSENCE)
+                    assert correct[i] == (d == "correct")
                 else:
                     checked["present"] += 1
                     checked["degenerate"] += g.box.area == 0.0 or p.box.area == 0.0
                     assert distance[i].tobytes() == np.float64(d).tobytes()
                     assert not correct[i]
         assert min(checked.values()) > 0, checked
+
+
+HUGE = (
+    (Box(0, 0, 1e200, 1e200), Box(0, 0, 1e200, 1e200)),
+    (Box(0, 0, 1e200, 1e200), Box(5, 5, 1, 1)),
+    (Box(1.5e308, 0, 1.5e308, 1), Box(-1.5e308, 0, 1, 1)),
+    (Box(1.5e308, 0, 1.5e308, 1), Box(1.5e308, 0, 1.5e308, 1)),
+)
+
+
+class TestHugeBoxes:
+    """Finite boxes whose areas or squared distances overflow."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a,b", HUGE)
+    def test_scalar_api_equals_the_oracle_without_warnings(self, a, b):
+        g, p = P(a), FramePrediction(b)
+        assert box_iou(a, b) == ref_box_iou(a, b)
+        assert iou(g, p) == ref_overlap_value(g, p)
+        want = ref_center_distance(g, p)
+        assert np.float64(center_distance(g, p)).tobytes() == np.float64(want).tobytes()
 
 
 def _truth_at(x: float, y: float, w: float = 0.0, h: float = 0.0) -> FrameTruth:

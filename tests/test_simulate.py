@@ -34,6 +34,7 @@ from fusebench import (
 )
 from fusebench import io as fio
 from fusebench import metrics, simulate
+from protocol_oracle import ref_overlap_value
 from reference_simulate import reference_run_scenario
 from test_golden_simulate import SCENARIOS as GOLDEN_SCENARIOS
 
@@ -175,6 +176,21 @@ class TestCalibrateConfidence:
             c = calibrate_confidence(p, g, 0.1, rng)
             assert 0.0 <= c <= 1.0
             assert abs(c - base) <= 0.1 + 1e-12
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1, 2.0])
+    def test_equals_overlap_plus_draw_clamped(self, noise):
+        g = FrameTruth.present(Box(0, 0, 10, 10))
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for dx in range(-12, 13):
+            p = FramePrediction(Box(dx / 2, 1, 10, 10))
+            want = ref_overlap_value(g, p) + (ref_rng.uniform(-noise, noise) if noise else 0.0)
+            assert calibrate_confidence(p, g, noise, rng) == min(1.0, max(0.0, want))
+
+
+def test_scenario_report_resolves_from_every_module():
+    import fusebench
+
+    assert fusebench.ScenarioReport is simulate.ScenarioReport is metrics.ScenarioReport
 
 
 class TestSynthesizeFused:
