@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 import math
 import re
@@ -289,7 +288,6 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise ConfigError(f"manifest {path}: name must be a string, got {name!r}")
 
     sequences: list[SequenceAnnotation] = []
-    paths: dict[str, str] = {}
     for entry in entries:
         if not isinstance(entry, dict):
             raise ConfigError(f"manifest {path}: sequence entries must be objects")
@@ -311,8 +309,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         with _reading(gt_path):
             frames = _truth_columns(_read_text(gt_path))
         sequences.append(SequenceAnnotation(id=sid, frames=frames, subset=subset))
-        paths[sid] = str(gt_path)
-    return DatasetManifest(tuple(sequences), name=name, paths=paths)
+    return DatasetManifest(tuple(sequences), name=name)
 
 
 def load_results(manifest: DatasetManifest, results_dir: str | Path) -> dict[str, PredictionColumns]:
@@ -346,64 +343,33 @@ def load_expert_stream(path: str | Path, expert: Expert | str) -> ExpertStream:
 
 # -- configuration files ----------------------------------------------------
 
-def _fields(cls: type) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
+def _config(cls: type, d, where: str, **fixed):
+    """Build the config dataclass ``cls`` from the JSON object ``d`` plus
+    the ``fixed`` fields, which ``d`` may not set. Unknown keys are
+    rejected; any other error names ``where`` and is a ConfigError."""
+    if not isinstance(d, Mapping):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
+    _check_keys(d, {f.name for f in dataclasses.fields(cls)} - fixed.keys(), where)
+    try:
+        return cls(**d, **fixed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
-_METRIC_KEYS = _fields(MetricConfig) | {"kind"}
-_SCENARIO_KEYS = _fields(ScenarioConfig) | {"kind"}
-# a profile's target is fixed by the section it is given in
-_PROFILE_KEYS = _fields(DegradationProfile) - {"target"}
-_FUSED_KEYS = _fields(FusedQualityModel)
-
-
-def _config_errors(build):
-    """Report a config value of the wrong type or form as a ConfigError."""
-
-    @functools.wraps(build)
-    def wrapper(d: Mapping):
-        try:
-            return build(d)
-        except FusebenchError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
-
-    return wrapper
-
-
-@_config_errors
 def metric_config_from_dict(d: Mapping) -> MetricConfig:
     """Build a MetricConfig from parsed JSON; unknown keys are rejected."""
-    _check_keys(d, _METRIC_KEYS, "metrics config")
-    return MetricConfig(**{k: v for k, v in d.items() if k != "kind"})
+    return _config(MetricConfig, {k: v for k, v in d.items() if k != "kind"}, "metrics config")
 
 
-def _profile_from_dict(d: Mapping, target: Expert) -> DegradationProfile:
-    _check_keys(d, _PROFILE_KEYS, f"{target} degradation profile")
-    kwargs = dict(d)
-    if "intervals" in kwargs and kwargs["intervals"] is not None:
-        kwargs["intervals"] = tuple(tuple(iv) for iv in kwargs["intervals"])
-    return DegradationProfile(target=target, **kwargs)
-
-
-@_config_errors
 def scenario_config_from_dict(d: Mapping) -> ScenarioConfig:
     """Build a ScenarioConfig from parsed JSON; unknown keys are rejected."""
-    _check_keys(d, _SCENARIO_KEYS, "scenario config")
-    kwargs = {k: v for k, v in d.items() if k not in ("kind", "rgb", "tir", "fused")}
-    if "extent" in kwargs:
-        kwargs["extent"] = tuple(kwargs["extent"])
-    if "size_range" in kwargs:
-        kwargs["size_range"] = tuple(kwargs["size_range"])
-    if "rgb" in d:
-        kwargs["rgb"] = _profile_from_dict(d["rgb"], Expert.RGB)
-    if "tir" in d:
-        kwargs["tir"] = _profile_from_dict(d["tir"], Expert.TIR)
+    d = {k: v for k, v in d.items() if k != "kind"}
+    for key in ("rgb", "tir"):
+        if key in d:
+            d[key] = _config(DegradationProfile, d[key], f"{key} degradation profile", target=Expert(key))
     if "fused" in d:
-        _check_keys(d["fused"], _FUSED_KEYS, "fused quality model")
-        kwargs["fused"] = FusedQualityModel(**d["fused"])
-    return ScenarioConfig(**kwargs)
+        d["fused"] = _config(FusedQualityModel, d["fused"], "fused quality model")
+    return _config(ScenarioConfig, d, "scenario config")
 
 
 def load_config(path: str | Path) -> MetricConfig | ScenarioConfig:

@@ -36,9 +36,10 @@ implementation exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -101,6 +102,36 @@ def _strictly_increasing(values: Sequence[float]) -> bool:
     return all(b > a for a, b in zip(values, values[1:]))
 
 
+def _number(name: str, v, low: float = -math.inf, high: float = math.inf, integer: bool = False):
+    """``v`` as a config number: an int or float (an integer if ``integer``),
+    never a bool or a string, finite and in ``[low, high]``. Returns it as
+    an ``int`` or a ``float``; raises :class:`ConfigError` naming ``name``."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral if integer else numbers.Real):
+        raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}, got {v!r}")
+    try:
+        v = int(v) if integer else float(v)
+    except OverflowError:  # an int beyond the float range
+        v = math.inf
+    if not (integer or math.isfinite(v)):
+        raise ConfigError(f"{name} must be finite, got {v!r}")
+    if not low <= v <= high:
+        bound = f"lie in [{low:g}, {high:g}]" if high < math.inf else (
+            "be non-negative" if low == 0 else f"be at least {low:g}")
+        raise ConfigError(f"{name} must {bound}, got {v!r}")
+    return v
+
+
+def _numbers(name: str, values, n: int | None = None, **limits) -> tuple:
+    """``values`` as a tuple of :func:`_number` checks under ``limits``,
+    of exactly ``n`` entries if ``n`` is given."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+    values = tuple(values)
+    if n is not None and len(values) != n:
+        raise ConfigError(f"{name} must hold exactly {n} numbers, got {list(values)!r}")
+    return tuple(_number(f"{name}[{i}]", v, **limits) for i, v in enumerate(values))
+
+
 @dataclass(frozen=True)
 class MetricConfig:
     """Evaluation settings: threshold grids, pooling mode, reporting point.
@@ -110,33 +141,18 @@ class MetricConfig:
     convention, with 5 px selectable for GTOT-style data.
     """
 
-    th_s: float = 0.5
-    th_p: float = 20.0
     success_thresholds: tuple[float, ...] = field(default_factory=default_success_thresholds)
     precision_thresholds: tuple[float, ...] = field(default_factory=default_precision_thresholds)
     pooling: str = "frame"
     pr_report_threshold: float = 20.0
 
     def __post_init__(self):
-        object.__setattr__(self, "success_thresholds", tuple(float(t) for t in self.success_thresholds))
-        object.__setattr__(self, "precision_thresholds", tuple(float(t) for t in self.precision_thresholds))
-        object.__setattr__(self, "th_s", float(self.th_s))
-        object.__setattr__(self, "th_p", float(self.th_p))
-        object.__setattr__(self, "pr_report_threshold", float(self.pr_report_threshold))
-        if not 0.0 <= self.th_s <= 1.0:
-            raise ConfigError(f"th_s must lie in [0, 1], got {self.th_s}")
-        if self.th_p < 0.0:
-            raise ConfigError(f"th_p must be non-negative, got {self.th_p}")
-        if not self.success_thresholds or not self.precision_thresholds:
-            raise ConfigError("threshold grids must be non-empty")
-        if not _strictly_increasing(self.success_thresholds):
-            raise ConfigError("success_thresholds must be strictly increasing")
-        if not _strictly_increasing(self.precision_thresholds):
-            raise ConfigError("precision_thresholds must be strictly increasing")
-        if any(t < 0.0 or t > 1.0 for t in self.success_thresholds):
-            raise ConfigError("success_thresholds must lie in [0, 1]")
-        if any(t < 0.0 for t in self.precision_thresholds):
-            raise ConfigError("precision_thresholds must be non-negative")
+        for name, high in (("success_thresholds", 1.0), ("precision_thresholds", math.inf)):
+            grid = _numbers(name, getattr(self, name), low=0.0, high=high)
+            if not grid or not _strictly_increasing(grid):
+                raise ConfigError(f"{name} must be a non-empty, strictly increasing grid")
+            object.__setattr__(self, name, grid)
+        object.__setattr__(self, "pr_report_threshold", _number("pr_report_threshold", self.pr_report_threshold))
         if self.pooling not in POOLING_MODES:
             raise ConfigError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
         if self.pr_report_threshold not in self.precision_thresholds:

@@ -327,15 +327,10 @@ class ExpertStream:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """A loaded benchmark: at least one sequence, ids unique.
-
-    ``paths`` optionally records where each sequence's groundtruth file came
-    from (filled by :func:`fusebench.io.load_manifest`).
-    """
+    """A loaded benchmark: at least one sequence, ids unique."""
 
     sequences: tuple[SequenceAnnotation, ...]
     name: str = ""
-    paths: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "sequences", tuple(self.sequences))

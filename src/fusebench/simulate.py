@@ -24,7 +24,6 @@ so results do not depend on any execution schedule.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -41,6 +40,8 @@ from .metrics import (
     ScenarioReport,
     _curves,
     _frame_values,
+    _number,
+    _numbers,
     _py_max,
     _py_min,
     _scores_of_rows,
@@ -111,20 +112,15 @@ class DegradationProfile:
         if self.intervals is not None and self.fraction is not None:
             raise ConfigError("give degraded intervals or a fraction, not both")
         if self.intervals is not None:
-            ivs = tuple((int(s), int(e)) for s, e in self.intervals)
+            ivs = tuple(_numbers(f"intervals[{i}]", v, 2, integer=True) for i, v in enumerate(self.intervals))
             object.__setattr__(self, "intervals", ivs)
             for s, e in ivs:
                 if s < 0 or e < s:
                     raise IntervalOutOfBoundsError(f"bad interval [{s}, {e})")
         if self.fraction is not None:
-            f = float(self.fraction)
-            if not 0.0 <= f <= 1.0:
-                raise ConfigError(f"degraded fraction must lie in [0, 1], got {f}")
-            object.__setattr__(self, "fraction", f)
-        if self.sigma_in < 0 or not math.isfinite(self.sigma_in):
-            raise ConfigError(f"sigma_in must be finite and non-negative, got {self.sigma_in}")
-        if self.confidence_noise < 0 or not math.isfinite(self.confidence_noise):
-            raise ConfigError(f"confidence_noise must be non-negative, got {self.confidence_noise}")
+            object.__setattr__(self, "fraction", _number("fraction", self.fraction, 0.0, 1.0))
+        for name in ("sigma_in", "confidence_noise"):
+            object.__setattr__(self, name, _number(name, getattr(self, name), 0.0))
 
 
 @dataclass(frozen=True)
@@ -144,12 +140,8 @@ class FusedQualityModel:
     confidence_noise: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.informative_weight <= 1.0:
-            raise ConfigError(f"informative_weight must lie in [0, 1], got {self.informative_weight}")
-        if self.boost < 0 or not math.isfinite(self.boost):
-            raise ConfigError(f"boost must be non-negative, got {self.boost}")
-        if self.confidence_noise < 0 or not math.isfinite(self.confidence_noise):
-            raise ConfigError(f"confidence_noise must be non-negative, got {self.confidence_noise}")
+        for name, high in (("informative_weight", 1.0), ("boost", math.inf), ("confidence_noise", math.inf)):
+            object.__setattr__(self, name, _number(name, getattr(self, name), 0.0, high))
 
 
 def _default_rgb_profile() -> DegradationProfile:
@@ -175,21 +167,11 @@ class ScenarioConfig:
     fused: FusedQualityModel = field(default_factory=FusedQualityModel)
 
     def __post_init__(self):
-        for name in ("n_sequences", "n_frames", "seed"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        object.__setattr__(self, "extent", (float(self.extent[0]), float(self.extent[1])))
-        object.__setattr__(self, "size_range", (float(self.size_range[0]), float(self.size_range[1])))
+        for name, low in (("n_sequences", 1), ("n_frames", 1), ("seed", 0)):
+            object.__setattr__(self, name, _number(name, getattr(self, name), low, integer=True))
         for name in ("extent", "size_range"):
-            if not all(map(math.isfinite, getattr(self, name))):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if not math.isfinite(self.motion_step_std):
-            raise ConfigError(f"motion_step_std must be finite, got {self.motion_step_std}")
-        if self.n_sequences < 1 or self.n_frames < 1:
-            raise ConfigError("sequence and frame counts must be at least 1")
+            object.__setattr__(self, name, _numbers(name, getattr(self, name), 2))
+        object.__setattr__(self, "motion_step_std", _number("motion_step_std", self.motion_step_std, 0.0))
         if self.extent[0] <= 0 or self.extent[1] <= 0:
             raise ConfigError(f"image extent must be positive, got {self.extent}")
         lo, hi = self.size_range
@@ -197,8 +179,6 @@ class ScenarioConfig:
             raise ConfigError(f"object size range must satisfy 0 < lo <= hi, got {self.size_range}")
         if hi > min(self.extent):
             raise ConfigError("objects must fit inside the image extent")
-        if self.motion_step_std < 0:
-            raise ConfigError(f"motion_step_std must be non-negative, got {self.motion_step_std}")
         if self.rgb.target is not Expert.RGB:
             raise ConfigError("the rgb profile must target the rgb modality")
         if self.tir.target is not Expert.TIR:

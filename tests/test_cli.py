@@ -381,10 +381,26 @@ class TestMalformedInputExitsThree:
         {"seed": -4}, {"seed": 1.5}, {"n_sequences": 2.5}, {"n_frames": True},
         {"extent": [math.inf, 480]}, {"extent": [math.nan, 480]}, {"size_range": [30, math.inf]},
         {"motion_step_std": math.inf}, {"motion_step_std": math.nan},
+        {"size_range": [30]}, {"extent": []}, {"extent": [640, 480, 7]},
+        {"rgb": {"intervals": [[1.7, 3]]}}, {"rgb": {"fraction": "0.5"}}, {"rgb": {"sigma_in": True}},
+        {"fused": {"informative_weight": True}},
     ], ids=lambda c: json.dumps(c))
     def test_bad_scenario_number_in_config(self, tmp_path, config):
         path = _write(tmp_path / "cfg.json", json.dumps({"kind": "scenario", **config}))
         proc = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert path.name in lines[0] and next(iter(config)) in lines[0], proc.stderr
+
+    @pytest.mark.parametrize("config", [
+        {"th_s": 0.5}, {"success_thresholds": ["0.5"]}, {"success_thresholds": [0, True]},
+        {"pr_report_threshold": "20"},
+    ], ids=lambda c: json.dumps(c))
+    def test_bad_metrics_number_in_config(self, toy_dataset, config):
+        path = _write(toy_dataset["root"] / "cfg.json", json.dumps(config))
+        proc = run_cli("evaluate", "--manifest", str(toy_dataset["manifest"]),
+                       "--results", str(toy_dataset["results"]), "--config", str(path))
         assert proc.returncode == 3, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -236,6 +237,18 @@ class TestConfig:
         path.write_text(json.dumps({"kind": "scenario", "rgb": {"strength": 2}}))
         with pytest.raises(UnknownKeyError):
             fio.load_config(path)
+
+    @pytest.mark.parametrize("cfg", [MetricConfig(), ScenarioConfig()], ids=["metrics", "scenario"])
+    def test_every_field_loads_from_its_json_form(self, tmp_path, cfg):
+        raw = dataclasses.asdict(cfg)
+        for section in ("rgb", "tir"):
+            if section in raw:
+                del raw[section]["target"]
+        if isinstance(cfg, ScenarioConfig):
+            raw["kind"] = "scenario"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert fio.load_config(path) == cfg
 
 
 class TestBundledScenarios:

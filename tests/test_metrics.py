@@ -215,10 +215,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             MetricConfig(pr_report_threshold=20.5)
 
-    def test_out_of_range_th_s(self):
-        with pytest.raises(ConfigError):
-            MetricConfig(th_s=1.5)
-
 
 class TestBenchmarkScores:
     def _single(self, frames, preds, **cfg_kwargs):

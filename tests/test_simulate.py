@@ -344,8 +344,6 @@ class TestRunScenario:
 
 
 CUSTOM_GRID = MetricConfig(
-    th_s=0.3,
-    th_p=8.0,
     success_thresholds=(0.0, 0.1, 0.3, 0.55, 0.9, 1.0),
     precision_thresholds=(0.0, 2.5, 5.0, 8.0, 30.0),
     pr_report_threshold=5.0,
