@@ -107,14 +107,9 @@ class ScoreMap:
 
 def confidence_from_score_map(score_map: ScoreMap | np.ndarray) -> float:
     """Reduce a classification score map to a confidence: its maximum value."""
-    if isinstance(score_map, ScoreMap):
-        return float(score_map.values.max())
-    arr = np.asarray(score_map, dtype=float)
-    if arr.size == 0:
-        raise EmptyScoreMapError("score map has no values")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("score map contains non-finite values")
-    return float(arr.max())
+    if not isinstance(score_map, ScoreMap):
+        score_map = ScoreMap(score_map)
+    return float(score_map.values.max())
 
 
 @dataclass(frozen=True)

@@ -181,16 +181,17 @@ def _confidence_values(text: str) -> np.ndarray:
 def _reading(path: Path):
     """Name ``path`` in the errors raised while reading it.
 
-    Toolkit errors keep their class and gain a ``<path>: `` prefix; text
-    that is not UTF-8 or not JSON becomes a :class:`FusebenchError`.
+    Toolkit errors keep their class and gain a ``<path>: `` prefix; any other
+    ``ValueError`` (not UTF-8, not JSON, too long an integer) becomes a
+    :class:`FusebenchError`.
     """
     try:
         yield
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FusebenchError(f"{path}: {exc}") from None
     except FusebenchError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+    except ValueError as exc:
+        raise FusebenchError(f"{path}: {exc}") from None
 
 
 def _read_text(path: Path) -> str:

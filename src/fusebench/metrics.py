@@ -355,10 +355,7 @@ def sequence_score(
     if pooling not in POOLING_MODES:
         raise ConfigError(f"pooling must be one of {POOLING_MODES}, got {pooling!r}")
     if pooling == "frame":
-        if kind == "success" and not 0.0 <= th <= 1.0:
-            raise ConfigError(f"th_s must lie in [0, 1], got {th}")
-        if kind == "precision" and th < 0.0:
-            raise ConfigError(f"th_p must be non-negative, got {th}")
+        th = _number("th_s", th, 0.0, 1.0) if kind == "success" else _number("th_p", th, 0.0)
     sr, pr = _curves(_frame_values(frames, pred), np.array([th]), np.array([th]), pooling)
     return float(sr[0] if kind == "success" else pr[0])
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,6 +112,8 @@ class DegradationProfile:
         if self.intervals is not None and self.fraction is not None:
             raise ConfigError("give degraded intervals or a fraction, not both")
         if self.intervals is not None:
+            if not isinstance(self.intervals, Iterable):
+                raise ConfigError(f"intervals must be a list of [start, end) pairs, got {self.intervals!r}")
             ivs = tuple(_numbers(f"intervals[{i}]", v, 2, integer=True) for i, v in enumerate(self.intervals))
             object.__setattr__(self, "intervals", ivs)
             for s, e in ivs:
@@ -202,17 +204,6 @@ def child_seed(seed, *keys: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=base.entropy, spawn_key=tuple(base.spawn_key) + keys)
 
 
-def _reflect(x: float, lo: float, hi: float) -> float:
-    """Fold ``x`` into ``[lo, hi]`` by repeated boundary reflection."""
-    if hi <= lo:
-        return lo
-    span = hi - lo
-    t = math.fmod(x - lo, 2.0 * span)
-    if t < 0.0:
-        t += 2.0 * span
-    return lo + (t if t <= span else 2.0 * span - t)
-
-
 def generate_trajectory(
     cfg: ScenarioConfig, seed, sequence_id: str | None = None
 ) -> SequenceAnnotation:
@@ -223,24 +214,9 @@ def generate_trajectory(
     Deterministic for a fixed seed. The frames are built as
     :class:`TruthColumns`.
     """
-    rng = np.random.default_rng(_seed_sequence(seed))
-    W, H = cfg.extent
-    lo, hi = cfg.size_range
-    w = float(rng.uniform(lo, hi))
-    h = float(rng.uniform(lo, hi))
-    cx = float(rng.uniform(w / 2.0, W - w / 2.0))
-    cy = float(rng.uniform(h / 2.0, H - h / 2.0))
-    steps = rng.normal(0.0, cfg.motion_step_std, size=(cfg.n_frames - 1, 2)).tolist()
-    xs, ys = [cx], [cy]
-    for dx, dy in steps:
-        cx = _reflect(cx + dx, w / 2.0, W - w / 2.0)
-        cy = _reflect(cy + dy, h / 2.0, H - h / 2.0)
-        xs.append(cx)
-        ys.append(cy)
-    n = cfg.n_frames
-    boxes = np.column_stack([np.array(xs) - w / 2.0, np.array(ys) - h / 2.0, np.full(n, w), np.full(n, h)])
+    block = _trajectory_block(cfg, [seed])
     sid = sequence_id if sequence_id is not None else f"sim-{_seed_sequence(seed).entropy}"
-    return SequenceAnnotation(id=sid, frames=TruthColumns(boxes, np.ones(n, dtype=bool)))
+    return SequenceAnnotation(id=sid, frames=TruthColumns(block.boxes[0], block.present[0]))
 
 
 def degraded_mask(profile: DegradationProfile, n_frames: int, seed) -> np.ndarray:
@@ -249,21 +225,7 @@ def degraded_mask(profile: DegradationProfile, n_frames: int, seed) -> np.ndarra
     Interval profiles are deterministic; fraction profiles choose a uniform
     random subset of ``round(fraction * n_frames)`` frames.
     """
-    mask = np.zeros(n_frames, dtype=bool)
-    if profile.intervals is not None:
-        for s, e in profile.intervals:
-            if e > n_frames:
-                raise IntervalOutOfBoundsError(
-                    f"interval [{s}, {e}) exceeds sequence length {n_frames}"
-                )
-            mask[s:e] = True
-    elif profile.fraction is not None and profile.fraction > 0:
-        k = int(round(profile.fraction * n_frames))
-        if k > 0:
-            rng = np.random.default_rng(_seed_sequence(seed))
-            idx = rng.choice(n_frames, size=k, replace=False)
-            mask[idx] = True
-    return mask
+    return _mask_block(profile, n_frames, [seed])[0]
 
 
 def calibrate_confidence(pred: FramePrediction, gt: FrameTruth, noise: float = 0.0, seed=0) -> float:
@@ -272,8 +234,7 @@ def calibrate_confidence(pred: FramePrediction, gt: FrameTruth, noise: float = 0
     ``noise = 0`` gives perfect calibration. ``seed`` may be an int, a
     ``SeedSequence`` or an existing ``Generator``.
     """
-    if noise < 0 or not math.isfinite(noise):
-        raise ConfigError(f"confidence noise must be non-negative, got {noise}")
+    noise = _number("confidence noise", noise, 0.0)
     draw = 0.0
     if noise > 0:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -320,6 +281,53 @@ class _Block(NamedTuple):
     boxes: np.ndarray
     present: np.ndarray
     confidence: np.ndarray | None = None
+
+
+def _trajectory_block(cfg: ScenarioConfig, seeds: Sequence) -> _Block:
+    """:func:`generate_trajectory` of each of ``seeds``, as a block. Each
+    sequence draws its size, start and steps from its own generator; then
+    all sequences walk together, frame by frame, reflecting off the extent
+    (an axis the box fills keeps its centre in the middle)."""
+    W, H = cfg.extent
+    lo, hi = cfg.size_range
+    sizes, starts, steps = [], [], []
+    for seed in seeds:
+        rng = np.random.default_rng(_seed_sequence(seed))
+        w, h = rng.uniform(lo, hi), rng.uniform(lo, hi)
+        sizes.append((w, h))
+        starts.append((rng.uniform(w / 2.0, W - w / 2.0), rng.uniform(h / 2.0, H - h / 2.0)))
+        steps.append(rng.normal(0.0, cfg.motion_step_std, size=(cfg.n_frames - 1, 2)))
+    size = np.array(sizes)
+    low = size / 2.0
+    span = (np.array(cfg.extent) - low) - low
+    two = 2.0 * span
+    walk = np.empty((cfg.n_frames, len(seeds), 2))
+    walk[0] = starts
+    with np.errstate(all="ignore"):  # a filled axis folds to NaN; too big a step overflows
+        for t, step in enumerate(np.stack(steps, axis=1), 1):
+            u = np.fmod(walk[t - 1] + step - low, two)
+            u = np.where(u < 0.0, u + two, u)
+            walk[t] = low + np.where(u <= span, u, two - u)
+    walk = np.where(span > 0.0, walk, low).transpose(1, 0, 2)
+    if not np.isfinite(walk).all():
+        raise ConfigError(f"motion_step_std {cfg.motion_step_std!r} walks the box to a non-finite position")
+    boxes = np.concatenate([walk - low[:, None], np.broadcast_to(size[:, None], walk.shape)], axis=-1)
+    return _Block(boxes, np.ones(walk.shape[:2], dtype=bool))
+
+
+def _mask_block(profile: DegradationProfile, n_frames: int, seeds: Sequence) -> np.ndarray:
+    """:func:`degraded_mask` of each of ``seeds``, as an ``(S, T)`` array."""
+    mask = np.zeros((len(seeds), n_frames), dtype=bool)
+    if profile.intervals is not None:
+        for s, e in profile.intervals:
+            if e > n_frames:
+                raise IntervalOutOfBoundsError(f"interval [{s}, {e}) exceeds sequence length {n_frames}")
+            mask[:, s:e] = True
+    elif profile.fraction:
+        k = int(round(profile.fraction * n_frames))
+        for row, seed in zip(mask, seeds):
+            row[np.random.default_rng(_seed_sequence(seed)).choice(n_frames, size=k, replace=False)] = True
+    return mask
 
 
 def _row(frames: FrameColumns) -> _Block:
@@ -436,10 +444,8 @@ def degrade_modality(
         mask = degraded_mask(profile, n, child_seed(seed, 0))
     elif len(mask) != n:
         raise LengthMismatchError(f"mask has {len(mask)} entries for {n} frames")
-    if profile.intervals is not None:
-        for s, e in profile.intervals:
-            if e > n:
-                raise IntervalOutOfBoundsError(f"interval [{s}, {e}) exceeds sequence length {n}")
+    else:
+        _mask_block(profile, n, ())  # a given mask still needs intervals that fit the sequence
     rng = np.random.default_rng(child_seed(seed, 1))
     mask = np.asarray(mask, dtype=bool)[None]
     return _stream(profile.target, _degrade_block(_row(gt.frames), mask, profile, extent, [rng])[0])
@@ -558,12 +564,11 @@ def _scenario_block(
     draws from its own per-sequence generator, in the same order as
     :func:`degrade_modality` and :func:`synthesize_fused_expert`.
     """
-    truth = [generate_trajectory(cfg, child_seed(cfg.seed, i, 0)).frames for i in seqs]
-    gt = _Block(np.stack([t.boxes for t in truth]), np.stack([t.present for t in truth]))
+    gt = _trajectory_block(cfg, [child_seed(cfg.seed, i, 0) for i in seqs])
 
     def modality(key: int, profile: DegradationProfile):
         seeds = [child_seed(cfg.seed, i, key) for i in seqs]
-        mask = np.stack([degraded_mask(profile, cfg.n_frames, child_seed(s, 0)) for s in seeds])
+        mask = _mask_block(profile, cfg.n_frames, [child_seed(s, 0) for s in seeds])
         rngs = [np.random.default_rng(child_seed(s, 1)) for s in seeds]
         return mask, *_degrade_block(gt, mask, profile, cfg.extent, rngs)
 

@@ -6,9 +6,18 @@ modalities, the fused expert, confidence selection and the oracle, then
 one :func:`benchmark_scores` call per policy. ``run_scenario`` evaluates
 blocks of whole sequences as arrays and must produce the same report,
 byte for byte (``tests/test_simulate.py::TestBlockParity``).
+
+Both sides walk the ground truth with the same block code, so the walk
+has its own reference, :func:`reference_trajectory`: one sequence, one
+scalar reflection per axis and frame
+(``tests/test_simulate.py::TestTrajectoryReference``).
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from fusebench import (
     DatasetManifest,
@@ -26,6 +35,37 @@ from fusebench import (
     synthesize_fused_expert,
 )
 from fusebench.fusion import EXPERTS
+
+
+def _reflect(x: float, lo: float, hi: float) -> float:
+    """Fold ``x`` into ``[lo, hi]`` by repeated boundary reflection."""
+    if hi <= lo:
+        return lo
+    span = hi - lo
+    t = math.fmod(x - lo, 2.0 * span)
+    if t < 0.0:
+        t += 2.0 * span
+    return lo + (t if t <= span else 2.0 * span - t)
+
+
+def reference_trajectory(cfg: ScenarioConfig, seed) -> np.ndarray:
+    """The ``(T, 4)`` boxes of :func:`fusebench.generate_trajectory`."""
+    rng = np.random.default_rng(seed)
+    W, H = cfg.extent
+    lo, hi = cfg.size_range
+    w = float(rng.uniform(lo, hi))
+    h = float(rng.uniform(lo, hi))
+    cx = float(rng.uniform(w / 2.0, W - w / 2.0))
+    cy = float(rng.uniform(h / 2.0, H - h / 2.0))
+    steps = rng.normal(0.0, cfg.motion_step_std, size=(cfg.n_frames - 1, 2)).tolist()
+    xs, ys = [cx], [cy]
+    for dx, dy in steps:
+        cx = _reflect(cx + dx, w / 2.0, W - w / 2.0)
+        cy = _reflect(cy + dy, h / 2.0, H - h / 2.0)
+        xs.append(cx)
+        ys.append(cy)
+    n = cfg.n_frames
+    return np.column_stack([np.array(xs) - w / 2.0, np.array(ys) - h / 2.0, np.full(n, w), np.full(n, h)])
 
 
 def reference_run_scenario(cfg: ScenarioConfig, metric_cfg: MetricConfig | None = None) -> ScenarioReport:

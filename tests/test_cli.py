@@ -357,6 +357,14 @@ MALFORMED_INPUTS = {
         ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(
             d["root"] / "cfg.json", json.dumps({"kind": "scenario", "extent": 5, "rgb": 3})))],
         d["root"] / "cfg.json"),
+    "scenario config with a 5,000-digit seed": lambda d: (
+        ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(
+            d["root"] / "cfg.json", '{"kind": "scenario", "seed": ' + "9" * 5000 + "}"))],
+        d["root"] / "cfg.json"),
+    "manifest holds a 5,000-digit number": lambda d: (
+        ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
+            d["manifest"], '{"name": ' + "1" * 5000 + ', "sequences": []}'))],
+        d["manifest"]),
     "score table not UTF-8": lambda d: (
         ["analyze", str(_write(d["root"] / "t.csv", b"benchmark,rgbt,rgb,tir\n\xff,1,2,3\n"))],
         d["root"] / "t.csv"),
@@ -382,7 +390,8 @@ class TestMalformedInputExitsThree:
         {"extent": [math.inf, 480]}, {"extent": [math.nan, 480]}, {"size_range": [30, math.inf]},
         {"motion_step_std": math.inf}, {"motion_step_std": math.nan},
         {"size_range": [30]}, {"extent": []}, {"extent": [640, 480, 7]},
-        {"rgb": {"intervals": [[1.7, 3]]}}, {"rgb": {"fraction": "0.5"}}, {"rgb": {"sigma_in": True}},
+        {"rgb": {"intervals": [[1.7, 3]]}}, {"rgb": {"intervals": 5}},
+        {"rgb": {"fraction": "0.5"}}, {"rgb": {"sigma_in": True}},
         {"fused": {"informative_weight": True}},
     ], ids=lambda c: json.dumps(c))
     def test_bad_scenario_number_in_config(self, tmp_path, config):
@@ -405,6 +414,15 @@ class TestMalformedInputExitsThree:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert path.name in lines[0] and next(iter(config)) in lines[0], proc.stderr
+
+    def test_non_finite_walk(self, tmp_path):
+        # raised while simulating, after the file was read, so the line
+        # names the key but not the file
+        path = _write(tmp_path / "cfg.json", json.dumps({"kind": "scenario", "motion_step_std": 1e308}))
+        proc = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "motion_step_std" in lines[0], proc.stderr
 
     def test_negative_seed_option(self, tmp_path):
         proc = run_cli("simulate", "--config", "common-scenario", "--out", str(tmp_path), "--seed", "-1")

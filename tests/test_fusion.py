@@ -15,6 +15,7 @@ from fusebench import (
     ExpertStream,
     FramePrediction,
     FrameTruth,
+    FusebenchError,
     LengthMismatchError,
     NegativeLossError,
     NonFiniteError,
@@ -54,6 +55,10 @@ class TestScoreMap:
     def test_empty_rejected(self):
         with pytest.raises(EmptyScoreMapError):
             confidence_from_score_map(np.empty((0, 3)))
+
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(FusebenchError, match="must be 2-D"):
+            confidence_from_score_map(np.array([0.1, 0.9]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):

@@ -178,6 +178,14 @@ class TestSequenceScore:
         with pytest.raises(LengthMismatchError):
             sequence_score([P(Box(0, 0, 1, 1))], [], 0.5)
 
+    @pytest.mark.parametrize("kind, th", [
+        ("success", -0.1), ("success", 1.5), ("success", math.nan), ("precision", -1.0), ("precision", math.inf),
+    ])
+    def test_bad_threshold_rejected(self, kind, th):
+        b = Box(0, 0, 4, 4)
+        with pytest.raises(ConfigError, match="th_s" if kind == "success" else "th_p"):
+            sequence_score([P(b)], [FramePrediction(b)], th, kind)
+
 
 class TestAuc:
     def test_constant_curves(self):

@@ -35,7 +35,7 @@ from fusebench import (
 from fusebench import io as fio
 from fusebench import metrics, simulate
 from protocol_oracle import ref_overlap_value
-from reference_simulate import reference_run_scenario
+from reference_simulate import reference_run_scenario, reference_trajectory
 from test_golden_simulate import SCENARIOS as GOLDEN_SCENARIOS
 
 
@@ -76,6 +76,38 @@ class TestTrajectory:
         with pytest.raises(ConfigError):
             ScenarioConfig(size_range=(50.0, 10.0))
 
+    def test_non_finite_walk_names_the_step_scale(self):
+        with pytest.raises(ConfigError, match="motion_step_std"):
+            generate_trajectory(small_cfg(motion_step_std=1e308), seed=7)
+
+
+#: configs whose walk folds at the boundaries often: a box that fills one
+#: axis, and steps larger than twice the span
+REFERENCE_WALKS = {
+    "default": small_cfg(n_frames=200),
+    "fills-x": small_cfg(n_frames=200, extent=(40.0, 480.0), size_range=(40.0, 40.0)),
+    "fills-y": small_cfg(n_frames=200, extent=(100.0, 40.0), size_range=(40.0, 40.0), motion_step_std=40.0),
+    "wide-steps": small_cfg(n_frames=500, motion_step_std=40.0, extent=(100.0, 80.0), size_range=(10.0, 20.0)),
+    "huge-steps": small_cfg(n_frames=500, motion_step_std=1e6, extent=(100.0, 80.0), size_range=(10.0, 20.0)),
+    "still": small_cfg(n_frames=50, motion_step_std=0.0),
+    "one-frame": small_cfg(n_frames=1),
+}
+
+
+class TestTrajectoryReference:
+    """``generate_trajectory``, and each row of a block walk, equal the
+    scalar per-frame walk bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_WALKS))
+    def test_bit_identical(self, name):
+        cfg = REFERENCE_WALKS[name]
+        seeds = [child_seed(s, 0) for s in range(8)]
+        block = simulate._trajectory_block(cfg, seeds).boxes
+        for row, seed in zip(block, seeds):
+            want = reference_trajectory(cfg, seed).tobytes()
+            assert generate_trajectory(cfg, seed).frames.boxes.tobytes() == want
+            assert row.tobytes() == want
+
 
 class TestDegradedMask:
     def test_intervals(self):
@@ -98,6 +130,10 @@ class TestDegradedMask:
     def test_exclusive_specification(self):
         with pytest.raises(ConfigError):
             DegradationProfile(target=Expert.RGB, intervals=((0, 1),), fraction=0.5)
+
+    def test_intervals_not_a_list(self):
+        with pytest.raises(ConfigError, match="intervals must be a list"):
+            DegradationProfile(target=Expert.RGB, intervals=5)
 
 
 class TestDegradeModality:
@@ -151,6 +187,12 @@ class TestDegradeModality:
         for i in range(10, 20):
             assert stream.predictions[i].box == frozen
 
+    def test_given_mask_still_checks_the_intervals(self):
+        traj = generate_trajectory(small_cfg(), seed=23)
+        profile = DegradationProfile(target=Expert.RGB, intervals=((10, 40),))
+        with pytest.raises(IntervalOutOfBoundsError):
+            degrade_modality(traj, profile, seed=24, mask=np.zeros(len(traj), dtype=bool))
+
     def test_external_mask_matches_internal_derivation(self):
         traj = generate_trajectory(small_cfg(), seed=22)
         profile = DegradationProfile(target=Expert.RGB, fraction=0.4)
@@ -185,6 +227,12 @@ class TestCalibrateConfidence:
             p = FramePrediction(Box(dx / 2, 1, 10, 10))
             want = ref_overlap_value(g, p) + (ref_rng.uniform(-noise, noise) if noise else 0.0)
             assert calibrate_confidence(p, g, noise, rng) == min(1.0, max(0.0, want))
+
+    @pytest.mark.parametrize("noise", [-0.1, math.inf, math.nan, True])
+    def test_bad_noise_rejected(self, noise):
+        g = FrameTruth.present(Box(0, 0, 10, 10))
+        with pytest.raises(ConfigError, match="confidence noise"):
+            calibrate_confidence(FramePrediction(Box(0, 0, 10, 10)), g, noise)
 
 
 def test_scenario_report_resolves_from_every_module():
