@@ -15,89 +15,13 @@ scores -- no pixel data is ever loaded. It provides:
 * a thin CLI over all of the above (``fusebench`` / ``python -m fusebench``).
 """
 
-from .errors import (
-    ConfigError,
-    DuplicateSequenceIdError,
-    EmptyCurveError,
-    EmptyScoreMapError,
-    EmptySubsetError,
-    EmptyTraceError,
-    FusebenchError,
-    IntervalOutOfBoundsError,
-    LengthMismatchError,
-    MalformedLineError,
-    MissingConfidenceError,
-    MissingSequenceResultError,
-    NegativeExtentError,
-    NegativeLossError,
-    NonFiniteError,
-    NonPositiveScoreError,
-    UnknownKeyError,
-)
-from .model import (
-    Box,
-    DatasetManifest,
-    Expert,
-    ExpertStream,
-    FramePrediction,
-    FrameTruth,
-    PredictionColumns,
-    SequenceAnnotation,
-    Subset,
-    TruthColumns,
-)
-from .metrics import (
-    AbsenceOutcome,
-    BenchmarkScores,
-    Curve,
-    MetricConfig,
-    ScenarioReport,
-    auc,
-    benchmark_scores,
-    box_iou,
-    center_distance,
-    frame_precision_indicator,
-    frame_success_indicator,
-    iou,
-    sequence_score,
-)
-from .fusion import (
-    DEFAULT_TIE_POLICY,
-    EXPERTS,
-    ScoreMap,
-    SelectionRecord,
-    SelectionTrace,
-    TiePolicy,
-    aggregate_expert_losses,
-    confidence_from_score_map,
-    fuse_streams,
-    select_expert,
-    selection_ratios,
-)
-from .simulate import (
-    POLICIES,
-    DegradationProfile,
-    DegradedBehavior,
-    FusedQualityModel,
-    ScenarioConfig,
-    calibrate_confidence,
-    child_seed,
-    degrade_modality,
-    degraded_mask,
-    generate_trajectory,
-    oracle_best_selection,
-    run_scenario,
-    synthesize_fused_expert,
-)
-from .analysis import (
-    BalancedIndicatorRow,
-    BalancedIndicatorTable,
-    EvaluationReport,
-    balanced_indicators,
-    compositional_eval,
-    export_report,
-    parse_report,
-    subset_manifest,
-)
+# Each module's ``__all__`` is the one declaration of its public names
+# (``errors`` has no ``__all__``: every name it defines is a public class).
+from .errors import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .fusion import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
+from .analysis import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

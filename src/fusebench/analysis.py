@@ -43,9 +43,6 @@ __all__ = [
     "parse_report",
 ]
 
-_SUBSET_BY_TAG = {"rgb": Subset.RGB_DOMINANT, "tir": Subset.TIR_DOMINANT}
-
-
 @dataclass(frozen=True)
 class EvaluationReport:
     """Overall and per-subset evaluation results for one tracker."""
@@ -90,12 +87,9 @@ def subset_manifest(manifest: DatasetManifest, tag: str | Subset) -> DatasetMani
 
     Raises :class:`EmptySubsetError` when no sequence carries the tag.
     """
-    if isinstance(tag, str):
-        if tag not in _SUBSET_BY_TAG:
-            raise FusebenchError(f"unknown subset tag {tag!r}; use 'rgb' or 'tir'")
-        subset = _SUBSET_BY_TAG[tag]
-    else:
-        subset = tag
+    if tag not in ("rgb", "tir"):
+        raise FusebenchError(f"unknown subset tag {tag!r}; use 'rgb' or 'tir'")
+    subset = Subset(tag)
     seqs = manifest.subset(subset)
     if not seqs:
         raise EmptySubsetError(subset.value)
@@ -120,7 +114,8 @@ def compositional_eval(
     subsets: dict[str, BenchmarkScores] = {}
     sequence_counts = {"overall": manifest.m}
     frame_counts = {"overall": sum(len(s) for s in manifest.sequences)}
-    for tag, subset in _SUBSET_BY_TAG.items():
+    for tag in ("rgb", "tir"):
+        subset = Subset(tag)
         rows = [i for i, s in enumerate(manifest.sequences) if s.subset is subset]
         sequence_counts[tag] = len(rows)
         frame_counts[tag] = sum(len(manifest.sequences[i]) for i in rows)

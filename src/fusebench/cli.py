@@ -22,7 +22,7 @@ from .analysis import (
 )
 from .errors import ConfigError, FusebenchError
 from .fusion import TiePolicy, fuse_streams, selection_ratios
-from .metrics import MetricConfig
+from .metrics import POOLING_MODES, MetricConfig, _number
 from .model import Expert
 from .simulate import ScenarioConfig, run_scenario
 
@@ -42,8 +42,8 @@ class Expectation:
             else:
                 value, tol = rhs, "0"
             self.key = key.strip()
-            self.value = float(value)
-            self.tol = float(tol)
+            self.value = _number("expected value", float(value))
+            self.tol = _number("tolerance", float(tol), 0.0)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"cannot parse expectation {text!r}; use key=value or key=value±tol"
@@ -53,7 +53,7 @@ class Expectation:
         if self.key not in values:
             return f"expect {self.key}: no such output (have: {', '.join(sorted(values))})"
         got = values[self.key]
-        if abs(got - self.value) > self.tol:
+        if not abs(got - self.value) <= self.tol:  # a NaN output fails
             return f"expect {self.key}: got {got!r}, want {self.value!r} ± {self.tol!r}"
         return None
 
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", required=True, help="directory with <sequence id>.txt files")
     p.add_argument("--config", help="metrics config JSON")
     p.add_argument("--subset", choices=["rgb", "tir", "all"], default="all")
-    p.add_argument("--pooling", choices=["frame", "sequence-mean"])
+    p.add_argument("--pooling", choices=POOLING_MODES)
     p.add_argument("--format", choices=["csv", "json-lines", "table"], default="table")
     p.add_argument("--out", help="write the report here instead of stdout")
     add_common(p)

@@ -49,7 +49,7 @@ class TiePolicy:
     def __post_init__(self):
         order = tuple(Expert(e) for e in self.order)
         object.__setattr__(self, "order", order)
-        if sorted(e.value for e in order) != ["rgb", "rgbt", "tir"]:
+        if sorted(order) != sorted(Expert):
             raise ConfigError(f"tie policy must order all three experts, got {order}")
 
     @classmethod
@@ -95,14 +95,6 @@ class ScoreMap:
             raise NonFiniteError("score map contains non-finite values")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
 
 
 def confidence_from_score_map(score_map: ScoreMap | np.ndarray) -> float:

@@ -432,6 +432,8 @@ def load_score_table(path: str | Path) -> list[tuple[str, float, float, float]]:
                 if not (math.isfinite(v) and v > 0):
                     raise NonPositiveScoreError(f"line {line_no}: {label} score must be positive, got {v!r}")
             rows.append((name, *values))
+        if not rows:
+            raise FusebenchError("no benchmark rows")
     return rows
 
 

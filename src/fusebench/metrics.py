@@ -354,8 +354,7 @@ def sequence_score(
         raise ConfigError(f"kind must be 'success' or 'precision', got {kind!r}")
     if pooling not in POOLING_MODES:
         raise ConfigError(f"pooling must be one of {POOLING_MODES}, got {pooling!r}")
-    if pooling == "frame":
-        th = _number("th_s", th, 0.0, 1.0) if kind == "success" else _number("th_p", th, 0.0)
+    th = _number("th_s", th, 0.0, 1.0) if kind == "success" else _number("th_p", th, 0.0)
     sr, pr = _curves(_frame_values(frames, pred), np.array([th]), np.array([th]), pooling)
     return float(sr[0] if kind == "success" else pr[0])
 

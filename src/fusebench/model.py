@@ -320,10 +320,6 @@ class ExpertStream:
     def __len__(self) -> int:
         return len(self.predictions)
 
-    @property
-    def confidences(self) -> tuple[float, ...]:
-        return tuple(self.predictions.confidence.tolist())
-
 
 @dataclass(frozen=True)
 class DatasetManifest:

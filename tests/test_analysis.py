@@ -107,6 +107,12 @@ class TestCompositionalEval:
         with pytest.raises(EmptySubsetError):
             subset_manifest(man, "tir")
 
+    @pytest.mark.parametrize("tag", ["none", Subset.UNSPECIFIED, "all", "RGB"])
+    def test_unknown_subset_tag_rejected(self, tag):
+        s1, _ = perfect_sequence("a", Subset.UNSPECIFIED)
+        with pytest.raises(FusebenchError, match="unknown subset tag"):
+            subset_manifest(DatasetManifest((s1,)), tag)
+
     def test_decomposition_identity(self):
         rng = np.random.default_rng(2024)
         manifest, results = random_benchmark(rng, n_sequences=12, max_frames=15)

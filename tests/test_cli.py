@@ -17,6 +17,7 @@ from fusebench import (
     run_scenario,
 )
 from fusebench import io as fio
+from fusebench.cli import Expectation
 
 
 def run_cli(*args, cwd=None):
@@ -300,6 +301,17 @@ class TestUsage:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("expectation", ["A.mean_rank=nan", "A.mean_rank=99±nan", "A.mean_rank=1±-1"])
+    def test_expectation_that_cannot_fail_or_pass_exits_two(self, tmp_path, expectation):
+        path = tmp_path / "t.csv"
+        path.write_text("benchmark,rgbt,rgb,tir\nA,3,2,1\n")
+        proc = run_cli("analyze", str(path), "--expect", expectation)
+        assert proc.returncode == 2, proc.stderr
+        assert "cannot parse expectation" in proc.stderr
+
+    def test_nan_output_fails_an_expectation(self):
+        assert Expectation("k=1±1").check({"k": math.nan}) is not None
+
 
 def _write(path, data):
     if isinstance(data, bytes):
@@ -372,6 +384,9 @@ MALFORMED_INPUTS = {
     "score table bad line": lambda d: (
         ["analyze", str(_write(d["root"] / "t.csv", "benchmark,rgbt,rgb,tir\nA,1,2\n"))],
         d["root"] / "t.csv"),
+    "score table is empty": lambda d: (["analyze", str(_write(d["root"] / "t.csv", ""))], d["root"] / "t.csv"),
+    "score table holds only a header": lambda d: (
+        ["analyze", str(_write(d["root"] / "t.csv", "benchmark,rgbt,rgb,tir\n"))], d["root"] / "t.csv"),
 }
 
 

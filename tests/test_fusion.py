@@ -87,6 +87,15 @@ class TestSelectExpert:
         with pytest.raises(ConfigError):
             TiePolicy.parse("rgb,rgb,tir")
 
+    @pytest.mark.parametrize("order", [
+        (Expert.RGB, Expert.RGB, Expert.TIR),
+        (Expert.RGB, Expert.TIR, Expert.RGBT, Expert.RGB),
+        (Expert.RGB, Expert.TIR),
+    ])
+    def test_order_must_hold_each_expert_once(self, order):
+        with pytest.raises(ConfigError, match="all three experts"):
+            TiePolicy(order)
+
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
             select_expert(float("nan"), 0.0, 0.0)

@@ -178,13 +178,16 @@ class TestSequenceScore:
         with pytest.raises(LengthMismatchError):
             sequence_score([P(Box(0, 0, 1, 1))], [], 0.5)
 
-    @pytest.mark.parametrize("kind, th", [
-        ("success", -0.1), ("success", 1.5), ("success", math.nan), ("precision", -1.0), ("precision", math.inf),
+    @pytest.mark.parametrize("kind, th, pooling", [
+        ("success", -0.1, "frame"), ("success", 1.5, "frame"), ("success", math.nan, "frame"),
+        ("precision", -1.0, "frame"), ("precision", math.inf, "frame"),
+        ("success", 5.0, "sequence-mean"), ("success", -3.0, "sequence-mean"),
+        ("success", math.nan, "sequence-mean"),
     ])
-    def test_bad_threshold_rejected(self, kind, th):
+    def test_bad_threshold_rejected(self, kind, th, pooling):
         b = Box(0, 0, 4, 4)
         with pytest.raises(ConfigError, match="th_s" if kind == "success" else "th_p"):
-            sequence_score([P(b)], [FramePrediction(b)], th, kind)
+            sequence_score([P(b)], [FramePrediction(b)], th, kind, pooling)
 
 
 class TestAuc:
