@@ -42,12 +42,16 @@ class Expectation:
             else:
                 value, tol = rhs, "0"
             self.key = key.strip()
-            self.value = _number("expected value", float(value))
-            self.tol = _number("tolerance", float(tol), 0.0)
+            value, tol = float(value), float(tol)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"cannot parse expectation {text!r}; use key=value or key=value±tol"
             ) from None
+        try:
+            self.value = _number("expected value", value)
+            self.tol = _number("tolerance", tol, 0.0)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(f"cannot parse expectation {text!r} ({exc})") from None
 
     def check(self, values: dict[str, float]) -> str | None:
         if self.key not in values:
@@ -92,7 +96,7 @@ def _flat_scores(values: dict[str, float], prefix: str, s) -> None:
     values[f"{prefix}sr_auc"] = s.sr_auc
 
 
-def cmd_evaluate(args) -> tuple[dict[str, float], int]:
+def cmd_evaluate(args) -> dict[str, float]:
     manifest = fio.load_manifest(args.manifest)
     cfg = _metric_config(args)
     results = fio.load_results(manifest, args.results)
@@ -105,10 +109,10 @@ def cmd_evaluate(args) -> tuple[dict[str, float], int]:
         for tag, s in report.subsets.items():
             _flat_scores(values, f"{tag}.", s)
     _emit(export_report(report, args.format), args.out)
-    return values, 0
+    return values
 
 
-def cmd_fuse(args) -> tuple[dict[str, float], int]:
+def cmd_fuse(args) -> dict[str, float]:
     rgb = fio.load_expert_stream(args.rgb, Expert.RGB)
     tir = fio.load_expert_stream(args.tir, Expert.TIR)
     rgbt = fio.load_expert_stream(args.rgbt, Expert.RGBT)
@@ -125,7 +129,7 @@ def cmd_fuse(args) -> tuple[dict[str, float], int]:
 
     r_rgb, r_tir, r_rgbt = selection_ratios(trace)
     print(f"selection ratios (rgb, tir, rgbt): {r_rgb:.2f}, {r_tir:.2f}, {r_rgbt:.2f}")
-    return {"r_rgb": r_rgb, "r_tir": r_tir, "r_rgbt": r_rgbt}, 0
+    return {"r_rgb": r_rgb, "r_tir": r_tir, "r_rgbt": r_rgbt}
 
 
 def _scenario_config(args) -> ScenarioConfig:
@@ -141,7 +145,7 @@ def _scenario_config(args) -> ScenarioConfig:
     return cfg
 
 
-def cmd_simulate(args) -> tuple[dict[str, float], int]:
+def cmd_simulate(args) -> dict[str, float]:
     cfg = _scenario_config(args)
     report = run_scenario(cfg)
 
@@ -159,10 +163,10 @@ def cmd_simulate(args) -> tuple[dict[str, float], int]:
         values[f"{policy}.sr_auc"] = s.sr_auc
         values[f"{policy}.pr_at_threshold"] = s.pr_at_threshold
     values["r_rgb"], values["r_tir"], values["r_rgbt"] = report.selection_ratios
-    return values, 0
+    return values
 
 
-def cmd_analyze(args) -> tuple[dict[str, float], int]:
+def cmd_analyze(args) -> dict[str, float]:
     rows = fio.load_score_table(args.table)
     table = balanced_indicators(rows, metric=args.metric)
     _emit(export_report(table, args.format), args.out)
@@ -173,7 +177,7 @@ def cmd_analyze(args) -> tuple[dict[str, float], int]:
         values[f"{row.benchmark}.rank_fusion"] = row.rank_fusion
         values[f"{row.benchmark}.rank_modality"] = row.rank_modality
         values[f"{row.benchmark}.mean_rank"] = row.mean_rank
-    return values, 0
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,12 +237,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        values, status = args.func(args)
+        values = args.func(args)
     except (FusebenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if status != 0:
-        return status
     return _check_expectations(args, values)
 
 

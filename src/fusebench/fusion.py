@@ -19,11 +19,10 @@ from .errors import (
     EmptyScoreMapError,
     EmptyTraceError,
     FusebenchError,
-    LengthMismatchError,
     NegativeLossError,
     NonFiniteError,
 )
-from .model import Expert, ExpertStream, PredictionColumns
+from .model import Expert, ExpertStream, PredictionColumns, _check_lengths
 
 __all__ = [
     "TiePolicy",
@@ -151,8 +150,7 @@ class SelectionTrace:
     def __post_init__(self):
         chosen = np.array(self.chosen, dtype=np.intp).reshape(-1)
         conf = np.array(self.confidences, dtype=np.float64).reshape(-1, len(EXPERTS))
-        if len(chosen) != len(conf):
-            raise LengthMismatchError(f"{len(chosen)} chosen experts but {len(conf)} confidence rows")
+        _check_lengths("selection trace", chosen=len(chosen), confidences=len(conf))
         if ((chosen < 0) | (chosen >= len(EXPERTS))).any():
             raise FusebenchError("chosen experts must be column indices 0, 1 or 2")
         beaten = np.flatnonzero(conf[np.arange(len(conf)), chosen] != conf.max(axis=1))
@@ -256,11 +254,7 @@ def fuse_streams(
     predictions compete like any other: their confidence decides. Ties
     are broken as in :func:`select_expert`.
     """
-    n = len(rgb)
-    if len(tir) != n or len(rgbt) != n:
-        raise LengthMismatchError(
-            f"streams disagree in length: rgb={n}, tir={len(tir)}, rgbt={len(rgbt)}"
-        )
+    _check_lengths("expert streams", rgb=len(rgb), tir=len(tir), rgbt=len(rgbt))
     streams = (rgb, tir, rgbt)
     confidences = np.column_stack([s.predictions.confidence for s in streams])
     chosen, fused = _select_by_score(streams, confidences, tie)
@@ -272,11 +266,7 @@ def selection_ratios(trace: SelectionTrace) -> tuple[float, float, float]:
     n = len(trace)
     if n == 0:
         raise EmptyTraceError("selection trace has no frames")
-    return (
-        trace.count(Expert.RGB) / n,
-        trace.count(Expert.TIR) / n,
-        trace.count(Expert.RGBT) / n,
-    )
+    return tuple((np.bincount(trace.chosen, minlength=len(EXPERTS)) / n).tolist())
 
 
 def aggregate_expert_losses(l_rgb: float, l_tir: float, l_rgbt: float) -> float:

@@ -178,20 +178,20 @@ def _confidence_values(text: str) -> np.ndarray:
 
 
 @contextmanager
-def _reading(path: Path):
-    """Name ``path`` in the errors raised while reading it.
-
-    Toolkit errors keep their class and gain a ``<path>: `` prefix; any other
-    ``ValueError`` (not UTF-8, not JSON, too long an integer) becomes a
+def _reading(where: Path | str):
+    """Name ``where``, a file or a line, in the errors raised while reading
+    it: the one way a data error gets its location. Toolkit errors keep
+    their class and gain a ``<where>: `` prefix; any other ``ValueError``
+    (not UTF-8, not JSON, too long an integer) becomes a
     :class:`FusebenchError`.
     """
     try:
         yield
     except FusebenchError as exc:
-        exc.args = (f"{path}: {exc}",)
+        exc.args = (f"{where}: {exc}",)
         raise
     except ValueError as exc:
-        raise FusebenchError(f"{path}: {exc}") from None
+        raise FusebenchError(f"{where}: {exc}") from None
 
 
 def _read_text(path: Path) -> str:
@@ -206,6 +206,8 @@ def _truth_columns(text: str) -> TruthColumns:
 def _load_predictions(path: Path, conf_path: Path | None) -> PredictionColumns:
     with _reading(path):
         boxes = _box_values(_read_text(path))
+        if not len(boxes):  # a sequence has a frame, and fuse needs one to select
+            raise FusebenchError("no predictions")
     conf = None
     if conf_path is not None:
         with _reading(conf_path):
@@ -276,41 +278,40 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     with _reading(path):
         raw = json.loads(_read_text(path) or "{}")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"manifest {path} must hold a JSON object")
-    _check_keys(raw, {"name", "sequences"}, f"manifest {path.name}")
-    entries = raw.get("sequences", [])
-    if not isinstance(entries, list):
-        raise ConfigError(f"manifest {path}: sequences must be a JSON list")
-    if not entries:
-        raise ConfigError(f"manifest {path} must list at least one sequence")
-    name = raw.get("name", "")
-    if not isinstance(name, str):
-        raise ConfigError(f"manifest {path}: name must be a string, got {name!r}")
+        if not isinstance(raw, dict):
+            raise ConfigError("manifest must hold a JSON object")
+        _check_keys(raw, {"name", "sequences"}, "manifest")
+        entries = raw.get("sequences", [])
+        if not isinstance(entries, list):
+            raise ConfigError("sequences must be a JSON list")
+        if not entries:
+            raise ConfigError("manifest must list at least one sequence")
+        name = raw.get("name", "")
+        if not isinstance(name, str):
+            raise ConfigError(f"name must be a string, got {name!r}")
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise ConfigError("sequence entries must be objects")
+            _check_keys(entry, {"id", "groundtruth", "subset"}, "manifest")
+            for key in ("id", "groundtruth"):
+                if key not in entry:
+                    raise ConfigError(f"sequence entry missing {key!r}")
+                if not isinstance(entry[key], str):
+                    raise ConfigError(f"sequence {key} must be a string, got {entry[key]!r}")
+            if entry.get("subset", "none") not in list(Subset):  # list: a tag may be unhashable
+                raise ConfigError(f"unknown subset tag {entry['subset']!r}")
 
     sequences: list[SequenceAnnotation] = []
     for entry in entries:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"manifest {path}: sequence entries must be objects")
-        _check_keys(entry, {"id", "groundtruth", "subset"}, f"manifest {path.name}")
-        for key in ("id", "groundtruth"):
-            if key not in entry:
-                raise ConfigError(f"manifest {path}: sequence entry missing {key!r}")
-            if not isinstance(entry[key], str):
-                raise ConfigError(f"manifest {path}: sequence {key} must be a string, got {entry[key]!r}")
         sid = entry["id"]
-        tag = entry.get("subset", "none")
-        try:
-            subset = Subset(tag)
-        except ValueError:
-            raise ConfigError(f"manifest {path}: unknown subset tag {tag!r}") from None
         gt_path = path.parent / entry["groundtruth"]
         if not gt_path.is_file():
             raise FileNotFoundError(f"groundtruth file for sequence {sid!r} not found: {gt_path}")
         with _reading(gt_path):
             frames = _truth_columns(_read_text(gt_path))
-        sequences.append(SequenceAnnotation(id=sid, frames=frames, subset=subset))
-    return DatasetManifest(tuple(sequences), name=name)
+            sequences.append(SequenceAnnotation(sid, frames, entry.get("subset", "none")))
+    with _reading(path):
+        return DatasetManifest(tuple(sequences), name=name)
 
 
 def load_results(manifest: DatasetManifest, results_dir: str | Path) -> dict[str, PredictionColumns]:
@@ -417,21 +418,22 @@ def load_score_table(path: str | Path) -> list[tuple[str, float, float, float]]:
         for line_no, record in enumerate(csv.reader(fh), start=1):
             if not record or not "".join(record).strip():
                 continue
-            if len(record) != 4:
-                raise FusebenchError(f"line {line_no}: expected 4 columns, got {len(record)}")
-            name, *scores = [c.strip() for c in record]
-            if line_no == 1 and not _is_number(scores[0]):
-                if [name.lower(), *[s.lower() for s in scores]] != _SCORE_TABLE_HEADER:
-                    raise FusebenchError(f"line 1: header must be {','.join(_SCORE_TABLE_HEADER)}")
-                continue
-            try:
-                values = [float(s) for s in scores]
-            except ValueError:
-                raise FusebenchError(f"line {line_no}: scores must be numbers") from None
-            for label, v in zip(_SCORE_TABLE_HEADER[1:], values):
-                if not (math.isfinite(v) and v > 0):
-                    raise NonPositiveScoreError(f"line {line_no}: {label} score must be positive, got {v!r}")
-            rows.append((name, *values))
+            with _reading(f"line {line_no}"):
+                if len(record) != 4:
+                    raise FusebenchError(f"expected 4 columns, got {len(record)}")
+                name, *scores = [c.strip() for c in record]
+                if line_no == 1 and not _is_number(scores[0]):
+                    if [name.lower(), *[s.lower() for s in scores]] != _SCORE_TABLE_HEADER:
+                        raise FusebenchError(f"header must be {','.join(_SCORE_TABLE_HEADER)}")
+                    continue
+                try:
+                    values = [float(s) for s in scores]
+                except ValueError:
+                    raise FusebenchError("scores must be numbers") from None
+                for label, v in zip(_SCORE_TABLE_HEADER[1:], values):
+                    if not (math.isfinite(v) and v > 0):
+                        raise NonPositiveScoreError(f"{label} score must be positive, got {v!r}")
+                rows.append((name, *values))
         if not rows:
             raise FusebenchError("no benchmark rows")
     return rows

@@ -46,7 +46,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     EmptyCurveError,
-    LengthMismatchError,
     MissingSequenceResultError,
 )
 from .model import (
@@ -57,6 +56,7 @@ from .model import (
     PredictionColumns,
     SequenceAnnotation,
     TruthColumns,
+    _check_lengths,
 )
 
 __all__ = [
@@ -171,10 +171,7 @@ class Curve:
     def __post_init__(self):
         object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
         object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
-        if len(self.thresholds) != len(self.scores):
-            raise LengthMismatchError(
-                f"curve has {len(self.thresholds)} thresholds but {len(self.scores)} scores"
-            )
+        _check_lengths("curve", thresholds=len(self.thresholds), scores=len(self.scores))
         if not _strictly_increasing(self.thresholds):
             raise ConfigError("curve thresholds must be strictly increasing")
         for s in self.scores:
@@ -281,13 +278,6 @@ def frame_precision_indicator(g: FrameTruth, p: FramePrediction, th_p: float) ->
     return int(sequence_score((g,), (p,), th_p, "precision"))
 
 
-def _check_pair(gt_frames: Sequence, pred: Sequence, what: str) -> None:
-    if len(gt_frames) != len(pred):
-        raise LengthMismatchError(
-            f"{what}: {len(gt_frames)} ground-truth frames vs {len(pred)} predictions"
-        )
-
-
 def _py_max(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray:
     # Python's max(a, b): b only where b > a, so ties (and signed zeros)
     # resolve the same way
@@ -349,7 +339,7 @@ def sequence_score(
     """
     frames = TruthColumns.from_frames(gt.frames if isinstance(gt, SequenceAnnotation) else gt)
     pred = PredictionColumns.from_frames(pred)
-    _check_pair(frames, pred, getattr(gt, "id", "sequence"))
+    _check_lengths(getattr(gt, "id", "sequence"), groundtruth=len(frames), predictions=len(pred))
     if kind not in ("success", "precision"):
         raise ConfigError(f"kind must be 'success' or 'precision', got {kind!r}")
     if pooling not in POOLING_MODES:
@@ -408,7 +398,7 @@ def benchmark_scores(
         if seq.id not in results:
             raise MissingSequenceResultError(seq.id)
         pred = PredictionColumns.from_frames(results[seq.id])
-        _check_pair(seq.frames, pred, seq.id)
+        _check_lengths(seq.id, groundtruth=len(seq.frames), predictions=len(pred))
         sr_seq, pr_seq = _curves(_frame_values(seq.frames, pred), ths, thp, cfg.pooling)
         sr_rows.append(sr_seq)
         pr_rows.append(pr_seq)

@@ -43,6 +43,15 @@ __all__ = [
 ]
 
 
+def _check_lengths(what: str, **lengths: int) -> None:
+    """The one length rule: per-frame streams that must align have equal
+    lengths, or a :class:`LengthMismatchError` names ``what`` and each
+    length."""
+    if len(set(lengths.values())) > 1:
+        listed = ", ".join(f"{k}={v}" for k, v in lengths.items())
+        raise LengthMismatchError(f"{what}: lengths differ: {listed}")
+
+
 class Expert(str, Enum):
     """One of the three tracking experts emitting per-frame predictions."""
 
@@ -177,8 +186,7 @@ class FrameColumns:
     def __post_init__(self):
         boxes = np.array(self.boxes, dtype=np.float64).reshape(-1, 4)
         present = np.array(self.present, dtype=bool).reshape(-1)
-        if len(present) != len(boxes):
-            raise LengthMismatchError(f"{len(boxes)} box rows but {len(present)} presence flags")
+        _check_lengths("frame columns", boxes=len(boxes), present=len(present))
         if not np.isfinite(boxes).all():
             raise NonFiniteError("box fields must be finite")
         boxes[~present] = 0.0
@@ -253,8 +261,7 @@ class PredictionColumns(FrameColumns):
         super().__post_init__()
         if self.confidence is not None:
             conf = np.array(self.confidence, dtype=np.float64).reshape(-1)
-            if len(conf) != len(self):
-                raise LengthMismatchError(f"{len(self)} predictions but {len(conf)} confidence values")
+            _check_lengths("predictions", boxes=len(self), confidence=len(conf))
             if not np.isfinite(conf).all():
                 raise NonFiniteError("prediction confidences must be finite")
             conf.flags.writeable = False

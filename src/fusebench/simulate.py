@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IntervalOutOfBoundsError, LengthMismatchError
+from .errors import ConfigError, IntervalOutOfBoundsError
 from .fusion import DEFAULT_TIE_POLICY, EXPERTS, TiePolicy, _select_by_score, _tie_argmax
 # unused here; the benchmark's tracer self-test (bench/test_bench.py) checks
 # that it finds and wraps a function under a name another module imported
@@ -55,6 +55,7 @@ from .model import (
     PredictionColumns,
     SequenceAnnotation,
     TruthColumns,
+    _check_lengths,
 )
 
 __all__ = [
@@ -185,6 +186,8 @@ class ScenarioConfig:
             raise ConfigError("the rgb profile must target the rgb modality")
         if self.tir.target is not Expert.TIR:
             raise ConfigError("the tir profile must target the tir modality")
+        for profile in (self.rgb, self.tir):
+            _mask_block(profile, self.n_frames, ())  # the intervals must fit the sequences
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -442,9 +445,8 @@ def degrade_modality(
     n = len(gt)
     if mask is None:
         mask = degraded_mask(profile, n, child_seed(seed, 0))
-    elif len(mask) != n:
-        raise LengthMismatchError(f"mask has {len(mask)} entries for {n} frames")
     else:
+        _check_lengths("degraded mask", groundtruth=n, mask=len(mask))
         _mask_block(profile, n, ())  # a given mask still needs intervals that fit the sequence
     rng = np.random.default_rng(child_seed(seed, 1))
     mask = np.asarray(mask, dtype=bool)[None]
@@ -510,14 +512,10 @@ def synthesize_fused_expert(
     """
     model = model or FusedQualityModel()
     n = len(gt)
-    if len(rgb) != n or len(tir) != n:
-        raise LengthMismatchError(
-            f"stream lengths {len(rgb)}/{len(tir)} do not match {n} ground-truth frames"
-        )
     rgb_deg = np.zeros(n, dtype=bool) if rgb_degraded is None else np.asarray(rgb_degraded, dtype=bool)
     tir_deg = np.zeros(n, dtype=bool) if tir_degraded is None else np.asarray(tir_degraded, dtype=bool)
-    if len(rgb_deg) != n or len(tir_deg) != n:
-        raise LengthMismatchError("degraded masks must match the sequence length")
+    _check_lengths("fused expert", groundtruth=n, rgb=len(rgb), tir=len(tir),
+                   rgb_degraded=len(rgb_deg), tir_degraded=len(tir_deg))
 
     rng = np.random.default_rng(_seed_sequence(seed))
     q_rgb = _frame_values(gt.frames, rgb.predictions)[0]
@@ -536,13 +534,8 @@ def oracle_best_selection(
     tie: TiePolicy = DEFAULT_TIE_POLICY,
 ) -> PredictionColumns:
     """Per frame, the prediction with maximal true overlap (ties by policy)."""
-    n = len(gt)
+    _check_lengths("oracle selection", groundtruth=len(gt), rgb=len(rgb), tir=len(tir), rgbt=len(rgbt))
     streams = (rgb, tir, rgbt)
-    for s in streams:
-        if len(s) != n:
-            raise LengthMismatchError(
-                f"{s.expert} stream has {len(s)} frames for {n} ground-truth frames"
-            )
     overlaps = np.column_stack([_frame_values(gt.frames, s.predictions)[0] for s in streams])
     return _select_by_score(streams, overlaps, tie)[1]
 

@@ -183,6 +183,18 @@ class TestFuse:
         )
         assert proc.returncode == 3
 
+    def test_empty_stream_writes_nothing(self, stream_files):
+        tmp_path, paths = stream_files
+        paths["tir"].write_text("")
+        (tmp_path / "tir.txt.conf").write_text("")
+        proc = run_cli(
+            "fuse", "--rgb", str(paths["rgb"]), "--tir", str(paths["tir"]),
+            "--rgbt", str(paths["rgbt"]), "--out", str(tmp_path / "out" / "f.txt"),
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {paths['tir']}: no predictions"]
+        assert not (tmp_path / "out").exists()
+
     def test_tie_flag(self, stream_files):
         tmp_path, paths = stream_files
         # equal confidences everywhere: the tie policy decides
@@ -307,7 +319,12 @@ class TestUsage:
         path.write_text("benchmark,rgbt,rgb,tir\nA,3,2,1\n")
         proc = run_cli("analyze", str(path), "--expect", expectation)
         assert proc.returncode == 2, proc.stderr
-        assert "cannot parse expectation" in proc.stderr
+        reason = {
+            "A.mean_rank=nan": "expected value must be finite, got nan",
+            "A.mean_rank=99±nan": "tolerance must be finite, got nan",
+            "A.mean_rank=1±-1": "tolerance must be non-negative, got -1.0",
+        }[expectation]
+        assert f"cannot parse expectation {expectation!r} ({reason})" in proc.stderr
 
     def test_nan_output_fails_an_expectation(self):
         assert Expectation("k=1±1").check({"k": math.nan}) is not None
@@ -387,7 +404,27 @@ MALFORMED_INPUTS = {
     "score table is empty": lambda d: (["analyze", str(_write(d["root"] / "t.csv", ""))], d["root"] / "t.csv"),
     "score table holds only a header": lambda d: (
         ["analyze", str(_write(d["root"] / "t.csv", "benchmark,rgbt,rgb,tir\n"))], d["root"] / "t.csv"),
+    "groundtruth file is empty": lambda d: (
+        ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"])],
+        _write(d["gt"] / "seq1.txt", "")),
+    "manifest lists an id twice": lambda d: (
+        ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
+            d["manifest"], json.dumps({"sequences": [{"id": "seq0", "groundtruth": "gt/seq0.txt"}] * 2})))],
+        d["manifest"]),
+    "scenario interval past n_frames": lambda d: (
+        ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(d["root"] / "cfg.json", json.dumps(
+            {"kind": "scenario", "n_frames": 100, "rgb": {"intervals": [[0, 500]]}})))],
+        d["root"] / "cfg.json"),
+    "fuse stream is empty": lambda d: (
+        ["fuse", "--out", str(d["root"] / "fused.txt"), "--rgb", str(_empty_stream(d["root"])),
+         "--tir", str(d["root"] / "empty.txt"), "--rgbt", str(d["root"] / "empty.txt")],
+        d["root"] / "empty.txt"),
 }
+
+
+def _empty_stream(root):
+    _write(root / "empty.txt.conf", "")
+    return _write(root / "empty.txt", "")
 
 
 class TestMalformedInputExitsThree:

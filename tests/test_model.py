@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from fusebench import (
     Box,
+    Curve,
     DatasetManifest,
+    DegradationProfile,
     DuplicateSequenceIdError,
     Expert,
     ExpertStream,
@@ -19,10 +21,15 @@ from fusebench import (
     NegativeExtentError,
     NonFiniteError,
     PredictionColumns,
+    SelectionTrace,
     SequenceAnnotation,
     Subset,
     TruthColumns,
+    degrade_modality,
+    oracle_best_selection,
+    synthesize_fused_expert,
 )
+from fusebench.model import _check_lengths
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 sizes = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -152,3 +159,38 @@ class TestColumns:
         assert all(a is b for a, b in zip(seq.frames, frames))
         assert seq.frames.present.tolist() == [True, False]
         assert seq == SequenceAnnotation(id="s", frames=list(frames))
+
+
+def _seq(n: int) -> SequenceAnnotation:
+    return SequenceAnnotation(id="s", frames=[FrameTruth.present(Box(i, 0, 4, 4)) for i in range(n)])
+
+
+def _stream(expert: Expert, n: int) -> ExpertStream:
+    return ExpertStream(expert, [FramePrediction(Box(i, 0, 4, 4), 0.5) for i in range(n)])
+
+
+# name -> a call whose per-frame inputs have 3 and 2 entries
+LENGTH_MISMATCHES = {
+    "curve": lambda: Curve((0.0, 0.5, 1.0), (1.0, 0.5)),
+    "selection trace": lambda: SelectionTrace([0, 1, 2], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    "fused expert streams": lambda: synthesize_fused_expert(_stream(Expert.RGB, 3), _stream(Expert.TIR, 2), _seq(3)),
+    "fused expert degraded mask": lambda: synthesize_fused_expert(
+        _stream(Expert.RGB, 3), _stream(Expert.TIR, 3), _seq(3), tir_degraded=[False, True]),
+    "oracle selection": lambda: oracle_best_selection(
+        _stream(Expert.RGB, 3), _stream(Expert.TIR, 3), _stream(Expert.RGBT, 2), _seq(3)),
+    "degraded mask": lambda: degrade_modality(
+        _seq(3), DegradationProfile(target=Expert.RGB), seed=0, mask=np.zeros(2, dtype=bool)),
+}
+
+
+class TestLengthRule:
+    def test_message_names_every_length(self):
+        _check_lengths("x", a=1, b=1)
+        with pytest.raises(LengthMismatchError) as err:
+            _check_lengths("x", a=1, b=2, c=1)
+        assert str(err.value) == "x: lengths differ: a=1, b=2, c=1"
+
+    @pytest.mark.parametrize("case", sorted(LENGTH_MISMATCHES))
+    def test_mismatch_rejected(self, case):
+        with pytest.raises(LengthMismatchError, match=r"^[\w ]+: lengths differ: .*=3, .*=2"):
+            LENGTH_MISMATCHES[case]()

@@ -120,6 +120,11 @@ class TestDegradedMask:
         with pytest.raises(IntervalOutOfBoundsError):
             degraded_mask(profile, 30, seed=0)
 
+    def test_scenario_config_checks_intervals_against_n_frames(self):
+        profile = DegradationProfile(target=Expert.RGB, intervals=((10, 40),))
+        with pytest.raises(IntervalOutOfBoundsError, match=r"interval \[10, 40\) exceeds sequence length 30"):
+            small_cfg(rgb=profile)
+
     def test_fraction_count_and_determinism(self):
         profile = DegradationProfile(target=Expert.TIR, fraction=0.3)
         a = degraded_mask(profile, 100, seed=9)
