@@ -10,18 +10,30 @@ scores -- no pixel data is ever loaded. It provides:
 * a deterministic simulator for studying when fusing modalities helps and
   when it hurts (:mod:`fusebench.simulate`);
 * parsers/writers for benchmark file layouts (:mod:`fusebench.io`);
-* subset evaluation, benchmark-balance indicators and report export
-  (:mod:`fusebench.analysis`);
+* subset evaluation (:mod:`fusebench.analysis`), and benchmark-balance
+  indicators and report export (:mod:`fusebench.report`);
 * a thin CLI over all of the above (``fusebench`` / ``python -m fusebench``).
 """
 
-# Each module's ``__all__`` is the one declaration of its public names
-# (``errors`` has no ``__all__``: every name it defines is a public class).
-from .errors import *  # noqa: F401,F403
-from .model import *  # noqa: F401,F403
-from .metrics import *  # noqa: F401,F403
-from .fusion import *  # noqa: F401,F403
-from .simulate import *  # noqa: F401,F403
-from .analysis import *  # noqa: F401,F403
+import importlib
 
 __version__ = "0.1.0"
+
+# Each module's ``__all__`` is the one declaration of its public names. A
+# name is looked up on first use, in this order, so ``import fusebench``
+# loads no module and the numpy-free ``errors`` and ``report`` load no numpy.
+_MODULES = ("errors", "report", "model", "metrics", "fusion", "simulate", "analysis")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    for module in map(__getattr__, _MODULES):
+        if name in module.__all__:
+            globals()[name] = value = getattr(module, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *(n for m in map(__getattr__, _MODULES) for n in m.__all__)})

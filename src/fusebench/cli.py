@@ -1,82 +1,25 @@
-"""Command-line front door: evaluate, fuse, simulate, analyze.
-
-Every subcommand is a thin delegator over the library; no metric or fusion
-logic lives here. Exit codes: 0 success, 1 an ``--expect`` check failed,
-2 bad invocation, 3 data error (parse failures, unreadable or missing
-files, length mismatches), reported as one ``error:`` line.
+"""The numpy-backed subcommands evaluate, fuse and simulate, each a thin
+delegator over the library. The parser is in :mod:`fusebench.__main__`.
+Importing this module imports every module these commands run.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import io as fio
-from .analysis import (
-    balanced_indicators,
-    compositional_eval,
-    export_report,
-    subset_manifest,
-)
-from .errors import ConfigError, FusebenchError
+from .__main__ import Expectation, _emit
+from .__main__ import main as _main
+from .analysis import compositional_eval, subset_manifest
+from .errors import ConfigError
 from .fusion import TiePolicy, fuse_streams, selection_ratios
-from .metrics import POOLING_MODES, MetricConfig, _number
-from .model import Expert
+from .metrics import MetricConfig
+from .report import export_report
 from .simulate import ScenarioConfig, run_scenario
 
-__all__ = ["main"]
-
-
-class Expectation:
-    """A ``key=value[±tol]`` assertion against a command's scalar outputs."""
-
-    def __init__(self, text: str):
-        try:
-            key, rhs = text.split("=", 1)
-            for sep in ("±", "+-"):
-                if sep in rhs:
-                    value, tol = rhs.split(sep, 1)
-                    break
-            else:
-                value, tol = rhs, "0"
-            self.key = key.strip()
-            value, tol = float(value), float(tol)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"cannot parse expectation {text!r}; use key=value or key=value±tol"
-            ) from None
-        try:
-            self.value = _number("expected value", value)
-            self.tol = _number("tolerance", tol, 0.0)
-        except ConfigError as exc:
-            raise argparse.ArgumentTypeError(f"cannot parse expectation {text!r} ({exc})") from None
-
-    def check(self, values: dict[str, float]) -> str | None:
-        if self.key not in values:
-            return f"expect {self.key}: no such output (have: {', '.join(sorted(values))})"
-        got = values[self.key]
-        if not abs(got - self.value) <= self.tol:  # a NaN output fails
-            return f"expect {self.key}: got {got!r}, want {self.value!r} ± {self.tol!r}"
-        return None
-
-
-def _check_expectations(args, values: dict[str, float]) -> int:
-    failed = False
-    for exp in args.expect or []:
-        msg = exp.check(values)
-        if msg is not None:
-            failed = True
-            print(msg, file=sys.stderr)
-    return 1 if failed else 0
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+__all__ = ["main", "Expectation"]
 
 
 def _metric_config(args) -> MetricConfig:
@@ -113,9 +56,7 @@ def cmd_evaluate(args) -> dict[str, float]:
 
 
 def cmd_fuse(args) -> dict[str, float]:
-    rgb = fio.load_expert_stream(args.rgb, Expert.RGB)
-    tir = fio.load_expert_stream(args.tir, Expert.TIR)
-    rgbt = fio.load_expert_stream(args.rgbt, Expert.RGBT)
+    rgb, tir, rgbt = fio.load_expert_streams(args.rgb, args.tir, args.rgbt)
     tie = TiePolicy.parse(args.tie)
     fused, trace = fuse_streams(rgb, tir, rgbt, tie)
 
@@ -160,89 +101,12 @@ def cmd_simulate(args) -> dict[str, float]:
     sys.stdout.write(export_report(report, "pretty-table"))
     values: dict[str, float] = {}
     for policy, s in report.policies.items():
-        values[f"{policy}.sr_auc"] = s.sr_auc
-        values[f"{policy}.pr_at_threshold"] = s.pr_at_threshold
+        _flat_scores(values, f"{policy}.", s)
     values["r_rgb"], values["r_tir"], values["r_rgbt"] = report.selection_ratios
     return values
 
 
-def cmd_analyze(args) -> dict[str, float]:
-    rows = fio.load_score_table(args.table)
-    table = balanced_indicators(rows, metric=args.metric)
-    _emit(export_report(table, args.format), args.out)
-    values: dict[str, float] = {}
-    for row in table.rows:
-        values[f"{row.benchmark}.gap_fusion"] = row.gap_fusion
-        values[f"{row.benchmark}.gap_modality"] = row.gap_modality
-        values[f"{row.benchmark}.rank_fusion"] = row.rank_fusion
-        values[f"{row.benchmark}.rank_modality"] = row.rank_modality
-        values[f"{row.benchmark}.mean_rank"] = row.mean_rank
-    return values
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fusebench",
-        description="Decision-level fusion and tracking-benchmark evaluation toolkit.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--expect", action="append", type=Expectation, metavar="KEY=VALUE[±TOL]",
-                       help="assert a named output value; failing checks exit 1")
-
-    p = sub.add_parser("evaluate", help="score a results directory against a manifest")
-    p.add_argument("--manifest", required=True, help="manifest JSON file")
-    p.add_argument("--results", required=True, help="directory with <sequence id>.txt files")
-    p.add_argument("--config", help="metrics config JSON")
-    p.add_argument("--subset", choices=["rgb", "tir", "all"], default="all")
-    p.add_argument("--pooling", choices=POOLING_MODES)
-    p.add_argument("--format", choices=["csv", "json-lines", "table"], default="table")
-    p.add_argument("--out", help="write the report here instead of stdout")
-    add_common(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("fuse", help="fuse three expert streams by confidence")
-    p.add_argument("--rgb", required=True, help="RGB predictions (expects a .conf sidecar)")
-    p.add_argument("--tir", required=True, help="TIR predictions (expects a .conf sidecar)")
-    p.add_argument("--rgbt", required=True, help="fused-expert predictions (expects a .conf sidecar)")
-    p.add_argument("--tie", default="rgbt-first",
-                   help="tie policy: rgbt-first|tir-first|rgb-first or e.g. 'rgbt,tir,rgb'")
-    p.add_argument("--out", required=True, help="output path for the fused predictions")
-    p.add_argument("--trace", help="trace csv path (default: <out>.trace.csv)")
-    add_common(p)
-    p.set_defaults(func=cmd_fuse)
-
-    p = sub.add_parser("simulate", help="run a synthetic fusion-policy scenario")
-    p.add_argument("--config", required=True,
-                   help="scenario config JSON, or a bundled name "
-                        "(mmw-one-modality-dead, common-scenario)")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("analyze", help="balanced-benchmark indicators from a score table")
-    p.add_argument("table", help="csv with benchmark,rgbt,rgb,tir columns")
-    p.add_argument("--metric", default="PR", help="metric label for the table (default PR)")
-    p.add_argument("--format", choices=["csv", "json-lines", "table"], default="table")
-    p.add_argument("--out", help="write the table here instead of stdout")
-    add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        values = args.func(args)
-    except (FusebenchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    return _check_expectations(args, values)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    """The ``fusebench`` command (:func:`fusebench.__main__.main`), as a
+    function of this module so that its callers and tracers find it here."""
+    return _main(argv)

@@ -41,12 +41,10 @@ errors raised while reading a file name it.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
 import re
-from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, NoReturn, Sequence
@@ -58,8 +56,8 @@ from .errors import (
     FusebenchError,
     MalformedLineError,
     NegativeExtentError,
-    NonPositiveScoreError,
     UnknownKeyError,
+    _reading,
 )
 from .metrics import MetricConfig
 from .model import (
@@ -73,7 +71,9 @@ from .model import (
     SequenceAnnotation,
     Subset,
     TruthColumns,
+    _check_lengths,
 )
+from .report import load_score_table
 from .simulate import (
     DegradationProfile,
     FusedQualityModel,
@@ -90,6 +90,7 @@ __all__ = [
     "load_manifest",
     "load_results",
     "load_expert_stream",
+    "load_expert_streams",
     "load_config",
     "load_score_table",
     "metric_config_from_dict",
@@ -175,23 +176,6 @@ def _confidence_values(text: str) -> np.ndarray:
         if values is not None:
             return values
     _raise_first_error(text, _check_confidence_line)
-
-
-@contextmanager
-def _reading(where: Path | str):
-    """Name ``where``, a file or a line, in the errors raised while reading
-    it: the one way a data error gets its location. Toolkit errors keep
-    their class and gain a ``<where>: `` prefix; any other ``ValueError``
-    (not UTF-8, not JSON, too long an integer) becomes a
-    :class:`FusebenchError`.
-    """
-    try:
-        yield
-    except FusebenchError as exc:
-        exc.args = (f"{where}: {exc}",)
-        raise
-    except ValueError as exc:
-        raise FusebenchError(f"{where}: {exc}") from None
 
 
 def _read_text(path: Path) -> str:
@@ -327,7 +311,10 @@ def load_results(manifest: DatasetManifest, results_dir: str | Path) -> dict[str
         if not pred_path.is_file():
             raise FileNotFoundError(f"prediction file for sequence {seq.id!r} not found: {pred_path}")
         conf_path = Path(str(pred_path) + ".conf")
-        out[seq.id] = _load_predictions(pred_path, conf_path if conf_path.is_file() else None)
+        preds = _load_predictions(pred_path, conf_path if conf_path.is_file() else None)
+        with _reading(pred_path):
+            _check_lengths(seq.id, groundtruth=len(seq), predictions=len(preds))
+        out[seq.id] = preds
     return out
 
 
@@ -341,6 +328,18 @@ def load_expert_stream(path: str | Path, expert: Expert | str) -> ExpertStream:
     if not conf_path.is_file():
         raise FileNotFoundError(f"confidence sidecar not found: {conf_path}")
     return ExpertStream(expert=Expert(expert), predictions=_load_predictions(path, conf_path))
+
+
+def load_expert_streams(rgb: str | Path, tir: str | Path, rgbt: str | Path) -> tuple[ExpertStream, ...]:
+    """Load the rgb, tir and rgbt streams that ``fuse`` selects between, each
+    as by :func:`load_expert_stream`. A stream whose length differs from the
+    RGB stream's is an error that names its file."""
+    experts = (Expert.RGB, Expert.TIR, Expert.RGBT)
+    streams = tuple(load_expert_stream(p, e) for p, e in zip((rgb, tir, rgbt), experts))
+    for path, stream in zip((tir, rgbt), streams[1:]):
+        with _reading(path):
+            _check_lengths("expert streams", rgb=len(streams[0]), **{stream.expert.value: len(stream)})
+    return streams
 
 
 # -- configuration files ----------------------------------------------------
@@ -391,52 +390,6 @@ def load_config(path: str | Path) -> MetricConfig | ScenarioConfig:
         if kind == "scenario":
             return scenario_config_from_dict(raw)
         raise ConfigError(f"unknown config kind {kind!r} (use 'metrics' or 'scenario')")
-
-
-# -- score tables -------------------------------------------------------------
-
-_SCORE_TABLE_HEADER = ["benchmark", "rgbt", "rgb", "tir"]
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
-
-
-def load_score_table(path: str | Path) -> list[tuple[str, float, float, float]]:
-    """Load a ``benchmark,rgbt,rgb,tir`` CSV table of per-benchmark scores.
-
-    The header row is optional; blank rows are skipped. Scores must be
-    finite and positive. Errors name the file and line.
-    """
-    path = Path(path)
-    rows: list[tuple[str, float, float, float]] = []
-    with _reading(path), path.open(newline="", encoding="utf-8") as fh:
-        for line_no, record in enumerate(csv.reader(fh), start=1):
-            if not record or not "".join(record).strip():
-                continue
-            with _reading(f"line {line_no}"):
-                if len(record) != 4:
-                    raise FusebenchError(f"expected 4 columns, got {len(record)}")
-                name, *scores = [c.strip() for c in record]
-                if line_no == 1 and not _is_number(scores[0]):
-                    if [name.lower(), *[s.lower() for s in scores]] != _SCORE_TABLE_HEADER:
-                        raise FusebenchError(f"header must be {','.join(_SCORE_TABLE_HEADER)}")
-                    continue
-                try:
-                    values = [float(s) for s in scores]
-                except ValueError:
-                    raise FusebenchError("scores must be numbers") from None
-                for label, v in zip(_SCORE_TABLE_HEADER[1:], values):
-                    if not (math.isfinite(v) and v > 0):
-                        raise NonPositiveScoreError(f"{label} score must be positive, got {v!r}")
-                rows.append((name, *values))
-        if not rows:
-            raise FusebenchError("no benchmark rows")
-    return rows
 
 
 # -- bundled scenarios -------------------------------------------------------

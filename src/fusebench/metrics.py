@@ -36,10 +36,10 @@ implementation exactly.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from types import SimpleNamespace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,10 +47,13 @@ from .errors import (
     ConfigError,
     EmptyCurveError,
     MissingSequenceResultError,
+    _number,
+    _numbers,
 )
 from .model import (
     Box,
     DatasetManifest,
+    FrameColumns,
     FramePrediction,
     FrameTruth,
     PredictionColumns,
@@ -58,9 +61,9 @@ from .model import (
     TruthColumns,
     _check_lengths,
 )
+from .report import POOLING_MODES
 
 __all__ = [
-    "POOLING_MODES",
     "AbsenceOutcome",
     "MetricConfig",
     "Curve",
@@ -77,9 +80,6 @@ __all__ = [
     "default_success_thresholds",
     "default_precision_thresholds",
 ]
-
-POOLING_MODES = ("frame", "sequence-mean")
-
 
 class AbsenceOutcome(Enum):
     """Marker returned by :func:`center_distance` when a distance is undefined."""
@@ -100,36 +100,6 @@ def default_precision_thresholds() -> tuple[float, ...]:
 
 def _strictly_increasing(values: Sequence[float]) -> bool:
     return all(b > a for a, b in zip(values, values[1:]))
-
-
-def _number(name: str, v, low: float = -math.inf, high: float = math.inf, integer: bool = False):
-    """``v`` as a config number: an int or float (an integer if ``integer``),
-    never a bool or a string, finite and in ``[low, high]``. Returns it as
-    an ``int`` or a ``float``; raises :class:`ConfigError` naming ``name``."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral if integer else numbers.Real):
-        raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}, got {v!r}")
-    try:
-        v = int(v) if integer else float(v)
-    except OverflowError:  # an int beyond the float range
-        v = math.inf
-    if not (integer or math.isfinite(v)):
-        raise ConfigError(f"{name} must be finite, got {v!r}")
-    if not low <= v <= high:
-        bound = f"lie in [{low:g}, {high:g}]" if high < math.inf else (
-            "be non-negative" if low == 0 else f"be at least {low:g}")
-        raise ConfigError(f"{name} must {bound}, got {v!r}")
-    return v
-
-
-def _numbers(name: str, values, n: int | None = None, **limits) -> tuple:
-    """``values`` as a tuple of :func:`_number` checks under ``limits``,
-    of exactly ``n`` entries if ``n`` is given."""
-    if isinstance(values, str) or not isinstance(values, Iterable):
-        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
-    values = tuple(values)
-    if n is not None and len(values) != n:
-        raise ConfigError(f"{name} must hold exactly {n} numbers, got {list(values)!r}")
-    return tuple(_number(f"{name}[{i}]", v, **limits) for i, v in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -223,9 +193,17 @@ class ScenarioReport:
     seed: int
 
 
+def _one_row(frame: FrameTruth | FramePrediction) -> SimpleNamespace:
+    """The ``boxes`` and ``present`` arrays of one frame, laid out as in
+    :class:`FrameColumns`. A frame object is valid by construction, so the
+    checks of ``FrameColumns`` are skipped."""
+    rows, present = FrameColumns._columns_of((frame,))
+    return SimpleNamespace(boxes=np.array(rows, dtype=np.float64), present=np.array(present))
+
+
 def _one_frame(g: FrameTruth, p: FramePrediction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_frame_values` of a single frame pair."""
-    return _frame_values(TruthColumns.from_frames((g,)), PredictionColumns.from_frames((p,)))
+    return _frame_values(_one_row(g), _one_row(p))
 
 
 def box_iou(a: Box, b: Box) -> float:

@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IntervalOutOfBoundsError
+from .errors import ConfigError, IntervalOutOfBoundsError, _number, _numbers
 from .fusion import DEFAULT_TIE_POLICY, EXPERTS, TiePolicy, _select_by_score, _tie_argmax
 # unused here; the benchmark's tracer self-test (bench/test_bench.py) checks
 # that it finds and wraps a function under a name another module imported
@@ -40,8 +40,7 @@ from .metrics import (
     ScenarioReport,
     _curves,
     _frame_values,
-    _number,
-    _numbers,
+    _one_row,
     _py_max,
     _py_min,
     _scores_of_rows,
@@ -242,9 +241,8 @@ def calibrate_confidence(pred: FramePrediction, gt: FrameTruth, noise: float = 0
     if noise > 0:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         draw = rng.uniform(-noise, noise)
-    pred = PredictionColumns.from_frames((pred,))
-    gt = _row(TruthColumns.from_frames((gt,)))
-    block, _ = _calibrated(gt, pred.boxes[None], pred.present[None], noise, np.array([[draw]]))
+    pred = _one_row(pred)
+    block, _ = _calibrated(_row(_one_row(gt)), pred.boxes[None], pred.present[None], noise, np.array([[draw]]))
     return float(block.confidence[0, 0])
 
 

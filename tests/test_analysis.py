@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from fusebench import (
     subset_manifest,
 )
 from fusebench import analysis
+from fusebench import report as report_module
 from conftest import random_benchmark
 
 # expert PR/SR scores per benchmark as reported by the reference comparison
@@ -283,6 +285,25 @@ class TestExport:
         assert len(text.splitlines()) == len(trace) + (1 if fmt != "pretty-table" else 2)
         list(trace)  # per-frame access builds them
         assert len(built) == len(trace)
+
+    def test_joined_csv_equals_the_csv_module(self):
+        # reports whose cells never need quoting are joined with commas;
+        # the csv module writes the same bytes
+        rng = np.random.default_rng(8)
+        conf = rng.choice([0.0, -0.0, 1.0, 5e-324, 1e-300, 1 / 3, 1e22], size=(40, 3))
+        manifest, results = random_benchmark(rng, n_sequences=4, max_frames=10)
+        reports = [
+            SelectionTrace(np.argmax(conf, axis=1), conf),
+            compositional_eval(manifest, results),
+            run_scenario(ScenarioConfig(n_sequences=2, n_frames=10, seed=1)),
+        ]
+        for report in reports:
+            [schema] = [s for s in report_module._SCHEMAS if s.cls == type(report).__name__]
+            assert not schema.quoted
+            headers, rows = schema.cells(report, "csv")
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows([headers, *rows])
+            assert export_report(report, "csv") == buf.getvalue()
 
     def test_sr_table_round_trip_preserves_values(self):
         table = balanced_indicators(SR_TABLE, metric="SR")

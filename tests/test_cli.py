@@ -107,6 +107,14 @@ class TestEvaluate:
         proc = run_cli("evaluate", "--nonsense")
         assert proc.returncode == 2
 
+    def test_bad_pooling_exits_two(self, toy_dataset):
+        proc = run_cli(
+            "evaluate", "--manifest", str(toy_dataset["manifest"]),
+            "--results", str(toy_dataset["results"]), "--pooling", "median",
+        )
+        assert proc.returncode == 2
+        assert "invalid choice: 'median'" in proc.stderr
+
     def test_huge_finite_boxes_print_no_warnings(self, toy_dataset):
         # the areas overflow to inf; the protocol still scores the frame
         _write(toy_dataset["results"] / "seq0.txt", "0,0,1e200,1e200\n" * 10)
@@ -182,6 +190,9 @@ class TestFuse:
             "--rgbt", str(paths["rgbt"]), "--out", str(tmp_path / "f.txt"),
         )
         assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            f"error: {paths['tir']}: expert streams: lengths differ: rgb=20, tir=1"
+        ]
 
     def test_empty_stream_writes_nothing(self, stream_files):
         tmp_path, paths = stream_files
@@ -374,6 +385,9 @@ MALFORMED_INPUTS = {
     "predictions not UTF-8": lambda d: (
         ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"])],
         _write(d["results"] / "seq2.txt", b"\xe9\n")),
+    "prediction file shorter than its groundtruth": lambda d: (
+        ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"])],
+        _write(d["results"] / "seq1.txt", "1,2,3,4\n")),
     "metrics config of the wrong type": lambda d: (
         ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"]),
          "--config", str(_write(d["root"] / "cfg.json", json.dumps({"success_thresholds": 5})))],
@@ -400,6 +414,9 @@ MALFORMED_INPUTS = {
     "score table is a directory": lambda d: (["analyze", str(d["gt"])], d["gt"]),
     "score table bad line": lambda d: (
         ["analyze", str(_write(d["root"] / "t.csv", "benchmark,rgbt,rgb,tir\nA,1,2\n"))],
+        d["root"] / "t.csv"),
+    "score table score is not a number": lambda d: (
+        ["analyze", str(_write(d["root"] / "t.csv", "benchmark,rgbt,rgb,tir\nA,1,x,1\n"))],
         d["root"] / "t.csv"),
     "score table is empty": lambda d: (["analyze", str(_write(d["root"] / "t.csv", ""))], d["root"] / "t.csv"),
     "score table holds only a header": lambda d: (
@@ -486,3 +503,57 @@ class TestMalformedInputExitsThree:
         proc = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "out"),
                        "--seed", "99999999999999999999999")
         assert proc.returncode == 0, proc.stderr
+
+
+def _imported_modules(importtime_log: str) -> set[str]:
+    """The modules named in a ``python -X importtime`` log."""
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in importtime_log.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+# run in a fresh interpreter: the argv lists of evaluate, fuse and simulate
+# follow as JSON; prints the fusebench modules that running them imported
+_COMMANDS_AFTER_IMPORT = """
+import json, sys
+import fusebench.cli as cli
+before = set(sys.modules)
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "fusebench")))
+"""
+
+
+class TestStartup:
+    def test_analyze_imports_no_numpy(self, tmp_path):
+        path = _write(tmp_path / "scores.csv", TestAnalyze.TABLE)
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "fusebench", "analyze", str(path), "--format", "csv"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        table = balanced_indicators([("GTOT", 92.9, 84.9, 64.3), ("MV-RGBT", 65.3, 44.0, 39.7)])
+        assert proc.stdout == export_report(table, "csv")
+        modules = _imported_modules(proc.stderr)
+        assert "fusebench.report" in modules
+        assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+
+    def test_cli_commands_import_no_fusebench_module(self, toy_dataset, stream_files):
+        # the benchmark times cli.main after importing fusebench.cli, so
+        # every module the commands run is imported with fusebench.cli
+        root = toy_dataset["root"]
+        _write(root / "scenario.json", json.dumps({"kind": "scenario", "n_sequences": 2, "n_frames": 10}))
+        argvs = [
+            ["evaluate", "--manifest", str(toy_dataset["manifest"]), "--results", str(toy_dataset["results"]),
+             "--out", str(root / "report.txt")],
+            ["fuse", "--rgb", str(root / "rgb.txt"), "--tir", str(root / "tir.txt"),
+             "--rgbt", str(root / "rgbt.txt"), "--out", str(root / "fused.txt")],
+            ["simulate", "--config", str(root / "scenario.json"), "--out", str(root / "sim")],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", _COMMANDS_AFTER_IMPORT, json.dumps(argvs)], capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []

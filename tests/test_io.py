@@ -184,6 +184,27 @@ class TestResults:
         stream = fio.load_expert_stream(p, Expert.RGB)
         assert stream.predictions[0].confidence == 0.5
 
+    def test_short_prediction_file_names_itself(self, toy_dataset):
+        man = fio.load_manifest(toy_dataset["manifest"])
+        pred = toy_dataset["results"] / "seq2.txt"
+        pred.write_text(pred.read_text() + "1,1,2,2\n")
+        with pytest.raises(LengthMismatchError) as err:
+            fio.load_results(man, toy_dataset["results"])
+        assert str(err.value) == f"{pred}: seq2: lengths differ: groundtruth=10, predictions=11"
+
+    def test_expert_streams_name_the_stream_of_another_length(self, tmp_path):
+        for name, n in (("rgb", 3), ("tir", 3), ("rgbt", 2)):
+            (tmp_path / f"{name}.txt").write_text("1,1,2,2\n" * n)
+            (tmp_path / f"{name}.txt.conf").write_text("0.5\n" * n)
+        paths = [tmp_path / f"{name}.txt" for name in ("rgb", "tir", "rgbt")]
+        with pytest.raises(LengthMismatchError) as err:
+            fio.load_expert_streams(*paths)
+        assert str(err.value) == f"{paths[2]}: expert streams: lengths differ: rgb=3, rgbt=2"
+        (tmp_path / "rgbt.txt").write_text("1,1,2,2\n" * 3)
+        (tmp_path / "rgbt.txt.conf").write_text("0.5\n" * 3)
+        streams = fio.load_expert_streams(*paths)
+        assert [s.expert for s in streams] == [Expert.RGB, Expert.TIR, Expert.RGBT]
+
 
 class TestConfig:
     def test_empty_config_gives_defaults(self, tmp_path):
