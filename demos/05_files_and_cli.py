@@ -7,7 +7,9 @@ way a shell script would.
 Run with: python3 demos/05_files_and_cli.py
 """
 
+import atexit
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -19,6 +21,7 @@ from fusebench import Box, FramePrediction, FrameTruth
 from fusebench import io as fio
 
 root = Path(tempfile.mkdtemp(prefix="fusebench-demo-"))
+atexit.register(shutil.rmtree, root, ignore_errors=True)
 (root / "gt").mkdir()
 (root / "results").mkdir()
 rng = np.random.default_rng(4)

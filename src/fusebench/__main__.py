@@ -140,4 +140,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # fusebench.cli imports this module: let it find this run, not run it again
+    sys.modules.setdefault("fusebench.__main__", sys.modules[__name__])
     sys.exit(main())

@@ -44,10 +44,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import re
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, NoReturn, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -99,25 +98,16 @@ __all__ = [
     "bundled_scenario",
 ]
 
-_SEP = re.compile(r"[,\s]+")
-
-# Box files and sidecars are parsed in bulk: the whole text is split into
-# fields and converted by ``float`` in one pass, then checked as an array.
-# Only a file that fails those checks is parsed again line by line, to
-# raise the error of its first bad line with the line number.
-
-
-def _finite_floats(fields: list[str]) -> np.ndarray | None:
-    """The fields as a float64 array, or None if any is not a finite number."""
-    try:
-        values = np.array(list(map(float, fields)), dtype=np.float64)
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
+# Box files and sidecars are parsed by one ``np.loadtxt`` call. numpy's C
+# reader splits on the whitespace ``str.split`` splits on and converts with
+# the string-to-double ``float`` uses, but accepts less (``1_0``, ``٤``).
+# The line checks below define the format. The bulk rows are used only where
+# they provably equal the line parse; every other file is parsed line by
+# line, which raises the first bad line's error with its line number.
 
 
-def _check_box_line(line: str, line_no: int) -> None:
-    parts = [p for p in _SEP.split(line.strip()) if p]
+def _check_box_line(line: str, line_no: int) -> list[float]:
+    parts = line.replace(",", " ").split()
     if len(parts) != 4:
         raise MalformedLineError(f"expected 4 fields, got {len(parts)}", line_no)
     values = []
@@ -129,53 +119,63 @@ def _check_box_line(line: str, line_no: int) -> None:
         if not math.isfinite(v):
             raise MalformedLineError(f"non-finite value: {p!r}", line_no)
         values.append(v)
-    x, y, w, h = values
-    if (x or y or w or h) and (w < 0 or h < 0):
+    w, h = values[2:]
+    if w < 0 or h < 0:
         raise NegativeExtentError(f"line {line_no}: negative extent w={w}, h={h}", line_no)
+    return values
 
 
-def _check_confidence_line(line: str, line_no: int) -> None:
+def _check_confidence_line(line: str, line_no: int) -> float:
+    field = line.strip()
     try:
-        v = float(line.strip())
+        v = float(field)
     except ValueError:
-        raise MalformedLineError(f"not a number: {line.strip()!r}", line_no) from None
+        raise MalformedLineError(f"not a number: {field!r}", line_no) from None
     if not math.isfinite(v):
-        raise MalformedLineError(f"non-finite confidence: {line.strip()!r}", line_no)
+        raise MalformedLineError(f"non-finite confidence: {field!r}", line_no)
+    return v
 
 
-def _raise_first_error(text: str, check_line) -> NoReturn:
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            check_line(line, line_no)
-    raise AssertionError("unreachable: a file that fails the bulk parse has a bad line")
+def _line_rows(text: str, check_line, width: int) -> np.ndarray:
+    """The reference parse: ``(n, width)`` rows of ``check_line`` on each
+    non-blank line of ``text``, or the error of the first bad line."""
+    rows = [check_line(line, n) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    return np.array(rows, dtype=np.float64).reshape(-1, width)
+
+
+def _bulk_rows(text: str, fields: str, width: int) -> np.ndarray | None:
+    """The rows of ``text`` by ``np.loadtxt`` over ``fields``, its lines with
+    each separator a space; None wherever they may differ from the line parse."""
+    if not fields.strip():  # nothing to parse, and loadtxt would warn
+        return None
+    lines = fields.splitlines()
+    try:
+        rows = np.loadtxt(lines, ndmin=2, comments=None)
+    except ValueError:  # a bad line, or a field only float accepts
+        return None
+    if rows.shape[1] != width or not np.isfinite(rows).all():
+        return None
+    # loadtxt skips the lines without a field; each must be blank in ``text``
+    if len(rows) < len(lines) and len(rows) != sum(1 for line in text.splitlines() if line.strip()):
+        return None
+    return rows
 
 
 def _box_values(text: str) -> np.ndarray:
     """``(n, 4)`` rows of a groundtruth/prediction file; fields are split on
     any run of commas and whitespace, blank lines are skipped."""
-    canon = text.replace(",", " ")
-    counts = list(map(len, map(str.split, canon.splitlines())))
-    # a blank line is whitespace only: a line of commas has 0 fields but is an error
-    if counts.count(4) == len(counts) or all(
-        n == 4 or not line.strip() for n, line in zip(counts, text.splitlines())
-    ):
-        values = _finite_floats(canon.split())
-        if values is not None:
-            rows = values.reshape(-1, 4)
-            if not ((rows[:, 2:] < 0.0).any(axis=1) & rows.any(axis=1)).any():
-                return rows
-    _raise_first_error(text, _check_box_line)
+    rows = _bulk_rows(text, text.replace(",", " "), 4)
+    if rows is None or (rows[:, 2:] < 0.0).any():
+        rows = _line_rows(text, _check_box_line, 4)
+    return rows
 
 
 def _confidence_values(text: str) -> np.ndarray:
     """``(n,)`` values of a confidence sidecar, one per non-blank line."""
-    fields = text.split()
-    # every non-blank line holds a field, so equal counts mean one per line
-    if len(fields) == sum(1 for line in text.splitlines() if line.strip()):
-        values = _finite_floats(fields)
-        if values is not None:
-            return values
-    _raise_first_error(text, _check_confidence_line)
+    rows = _bulk_rows(text, text, 1)
+    if rows is None:
+        rows = _line_rows(text, _check_confidence_line, 1)
+    return rows.ravel()
 
 
 def _read_text(path: Path) -> str:

@@ -206,6 +206,32 @@ class TestFuse:
         assert proc.stderr.splitlines() == [f"error: {paths['tir']}: no predictions"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text", ["", "\n \t\n\n"], ids=["empty", "blank"])
+    def test_stream_without_data_warns_nothing(self, stream_files, text):
+        tmp_path, paths = stream_files
+        paths["tir"].write_text(text)
+        (tmp_path / "tir.txt.conf").write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "fusebench", "fuse", "--rgb", str(paths["rgb"]),
+             "--tir", str(paths["tir"]), "--rgbt", str(paths["rgbt"]), "--out", str(tmp_path / "f.txt")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {paths['tir']}: no predictions"]
+
+    @pytest.mark.parametrize("first_bad", [1, 3])
+    def test_two_values_on_a_sidecar_line(self, stream_files, first_bad):
+        tmp_path, paths = stream_files
+        conf = tmp_path / "tir.txt.conf"
+        lines = conf.read_text().splitlines()
+        conf.write_text("".join(line + "\n" for line in lines[: first_bad - 1]) + "0.5 0.7\n" * 20)
+        proc = run_cli(
+            "fuse", "--rgb", str(paths["rgb"]), "--tir", str(paths["tir"]),
+            "--rgbt", str(paths["rgbt"]), "--out", str(tmp_path / "f.txt"),
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [f"error: {conf}: line {first_bad}: not a number: '0.5 0.7'"]
+
     def test_tie_flag(self, stream_files):
         tmp_path, paths = stream_files
         # equal confidences everywhere: the tie policy decides
@@ -539,6 +565,20 @@ class TestStartup:
         modules = _imported_modules(proc.stderr)
         assert "fusebench.report" in modules
         assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+
+    def test_module_run_loads_the_front_door_once(self, stream_files):
+        # ``-m fusebench`` runs fusebench/__main__.py as __main__; importing
+        # fusebench.cli must find that run instead of running the file again
+        tmp_path, paths = stream_files
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "fusebench", "fuse", "--rgb", str(paths["rgb"]),
+             "--tir", str(paths["tir"]), "--rgbt", str(paths["rgbt"]), "--out", str(tmp_path / "f.txt")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        modules = _imported_modules(proc.stderr)
+        assert "fusebench.cli" in modules
+        assert "fusebench.__main__" not in modules
 
     def test_cli_commands_import_no_fusebench_module(self, toy_dataset, stream_files):
         # the benchmark times cli.main after importing fusebench.cli, so

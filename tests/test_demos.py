@@ -23,3 +23,15 @@ def test_demo_exits_zero(demo, tmp_path):
         [sys.executable, str(demo)], capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_files_demo_removes_its_workspace(tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "05_files_and_cli.py")],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    workspace = Path(proc.stdout.splitlines()[-1].split()[-1])
+    assert workspace.parent == tmp_path and not workspace.exists()

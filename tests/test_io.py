@@ -2,10 +2,11 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusebench import (
@@ -408,6 +409,94 @@ class TestBulkParser:
             FrameTruth.present(Box(1000, 0.02, 3, 0.5)),
         ]
         assert fio.parse_confidences(" 0.5 \n\n1e-3\n") == [0.5, 0.001]
+
+
+# -- bulk rows against the line parse that defines the format ----------------
+
+plain_fields = st.sampled_from(["1", "-2.5", "0", "7e-3", "123.45678901234567", "-0.0", "+.5"])
+odd_fields = st.sampled_from(["1_0", "\u0664", "nan", "-inf", "1e400", "x", "#1"])
+plain_separators = st.sampled_from([",", " ", "\t", ", ", " ,\t"])
+odd_whitespace = st.sampled_from(["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"])
+not_rows = st.sampled_from(["", " ", "\t ", ",", ",,,", " , "])
+
+
+@st.composite
+def bulk_texts(draw):
+    """Up to six lines: mostly rows of one width (a sidecar's 1 or a box
+    file's 4 fields), plus odd rows (other widths, fields only ``float``
+    reads or none reads, odd whitespace), blank or comma-only lines."""
+    width = draw(st.sampled_from([1, 4]))
+    text = ""
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["row", "row", "odd row", "no row"]))
+        if kind == "no row":
+            line = draw(st.one_of(not_rows, odd_whitespace))
+        else:
+            odd = kind == "odd row"
+            n = draw(st.sampled_from([2, 3, 5, 8])) if odd and draw(st.booleans()) else width
+            fields = draw(st.lists(st.one_of(plain_fields, odd_fields) if odd else plain_fields,
+                                   min_size=n, max_size=n))
+            seps = draw(st.lists(st.one_of(plain_separators, odd_whitespace) if odd else plain_separators,
+                                 min_size=n - 1, max_size=n - 1))
+            line = "".join(f + s for f, s in zip(fields, seps + [draw(st.sampled_from(["", " ", ","]))]))
+        text += line + draw(st.sampled_from(["\n", "\r\n"]))
+    return text
+
+
+class TestBulkRows:
+    @settings(max_examples=500, deadline=None)
+    @given(text=bulk_texts())
+    @example(text="1,2,3,4\r\n,,,\n")  # loadtxt skips the comma-only line
+    @example(text="1 2 3 4 #1\n")  # '#' starts no comment
+    @example(text="0.5 #1\n")
+    @example(text="1 2\x853 4\n")  # a line break inside a row
+    @example(text="1_0 2 3 \u0664\n0.5 0.7\n")
+    @example(text="-0.0 0 1e400 -0.0\n")
+    def test_equal_the_line_parse(self, text):
+        for parse, check_line, width in (
+            (fio._box_values, fio._check_box_line, 4),
+            (fio._confidence_values, fio._check_confidence_line, 1),
+        ):
+            want = outcome(fio._line_rows, text, check_line, width)
+            got = outcome(parse, text)
+            if want[0] == "ok":  # bit for bit, so -0.0 is not 0.0
+                assert got[0] == "ok", got
+                assert got[1].reshape(-1, width).view(np.int64).tolist() == want[1].view(np.int64).tolist()
+            else:
+                assert got == want
+
+    @pytest.mark.parametrize("boxes,confidences,n", [
+        ("1 2 3 4\n\n", "0.5\n\n", 1),
+        ("1,2,3,4\r\n \t\r\n0,0,0,0\n\xa0\n", "0.5\r\n \t\r\n-0.0\n\xa0\n", 2),
+    ])
+    def test_blank_lines_stay_on_the_bulk_path(self, boxes, confidences, n, monkeypatch):
+        def line_parse(*args):
+            raise AssertionError("parsed line by line")
+
+        monkeypatch.setattr(fio, "_line_rows", line_parse)
+        assert len(fio._box_values(boxes)) == len(fio._confidence_values(confidences)) == n
+
+    def test_two_values_on_the_only_sidecar_line(self):
+        assert outcome(fio.parse_confidences, "0.5 0.7\n") == (
+            "MalformedLineError", "line 1: not a number: '0.5 0.7'", 1)
+
+    @pytest.mark.parametrize("text", ["", "\n", " \t\r\n\n  "], ids=["empty", "newline", "blank"])
+    def test_files_without_data_raise_no_warning(self, text, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fio.parse_groundtruth(text) == []
+            assert fio.parse_predictions(text, text) == []
+            assert fio.parse_confidences(text) == []
+            for name in ("gt.txt", "pred.txt", "pred.txt.conf"):
+                (tmp_path / name).write_text(text)
+            (tmp_path / "m.json").write_text(json.dumps({"sequences": [{"id": "a", "groundtruth": "gt.txt"}]}))
+            with pytest.raises(FusebenchError, match="gt.txt"):
+                fio.load_manifest(tmp_path / "m.json")
+            with pytest.raises(FusebenchError, match="pred.txt: no predictions"):
+                fio.load_expert_stream(tmp_path / "pred.txt", Expert.RGB)
+            (tmp_path / "pred.txt").write_text("1,1,2,2\n")
+            with pytest.raises(LengthMismatchError, match="pred.txt"):
+                fio.load_expert_stream(tmp_path / "pred.txt", Expert.RGB)
 
 
 class TestColumnsFromFiles:
