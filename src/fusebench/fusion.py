@@ -129,7 +129,7 @@ class SelectionRecord:
             )
 
     def score_of(self, expert: Expert) -> float:
-        return {Expert.RGB: self.cs_rgb, Expert.TIR: self.cs_tir, Expert.RGBT: self.cs_rgbt}[expert]
+        return (self.cs_rgb, self.cs_tir, self.cs_rgbt)[EXPERTS.index(expert)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,12 +231,11 @@ def _select_by_score(
     frame.
     """
     chosen = _tie_argmax(scores, tie)
-    frames = np.arange(len(chosen))
     preds = [s.predictions for s in streams]
     picked = PredictionColumns(
-        np.stack([p.boxes for p in preds])[chosen, frames],
-        np.stack([p.present for p in preds])[chosen, frames],
-        np.stack([p.confidence for p in preds])[chosen, frames],
+        np.choose(chosen[:, None], [p.boxes for p in preds]),
+        np.choose(chosen, [p.present for p in preds]),
+        np.choose(chosen, [p.confidence for p in preds]),
     )
     return chosen, picked
 

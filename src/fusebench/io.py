@@ -58,6 +58,7 @@ from .errors import (
     UnknownKeyError,
     _reading,
 )
+from .fusion import EXPERTS
 from .metrics import MetricConfig
 from .model import (
     DatasetManifest,
@@ -334,8 +335,7 @@ def load_expert_streams(rgb: str | Path, tir: str | Path, rgbt: str | Path) -> t
     """Load the rgb, tir and rgbt streams that ``fuse`` selects between, each
     as by :func:`load_expert_stream`. A stream whose length differs from the
     RGB stream's is an error that names its file."""
-    experts = (Expert.RGB, Expert.TIR, Expert.RGBT)
-    streams = tuple(load_expert_stream(p, e) for p, e in zip((rgb, tir, rgbt), experts))
+    streams = tuple(load_expert_stream(p, e) for p, e in zip((rgb, tir, rgbt), EXPERTS))
     for path, stream in zip((tir, rgbt), streams[1:]):
         with _reading(path):
             _check_lengths("expert streams", rgb=len(streams[0]), **{stream.expert.value: len(stream)})
@@ -402,14 +402,10 @@ def bundled_scenario_names() -> tuple[str, ...]:
 
 
 def bundled_scenario(name: str) -> ScenarioConfig:
-    """Load one of the scenario configs shipped with the package."""
-    pkg = resources.files("fusebench") / "data" / "scenarios"
-    candidate = pkg / f"{name}.json"
-    try:
-        text = candidate.read_text()
-    except (FileNotFoundError, OSError):
-        raise ConfigError(
-            f"unknown bundled scenario {name!r}; available: {', '.join(bundled_scenario_names())}"
-        ) from None
-    raw = json.loads(text)
-    return scenario_config_from_dict(raw)
+    """Load one of the scenario configs shipped with the package, by a name
+    from :func:`bundled_scenario_names`."""
+    names = bundled_scenario_names()
+    if name not in names:
+        raise ConfigError(f"unknown bundled scenario {name!r}; available: {', '.join(names)}")
+    with resources.as_file(resources.files("fusebench") / "data" / "scenarios" / f"{name}.json") as path:
+        return load_config(path)

@@ -38,8 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from types import SimpleNamespace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -193,12 +192,11 @@ class ScenarioReport:
     seed: int
 
 
-def _one_row(frame: FrameTruth | FramePrediction) -> SimpleNamespace:
-    """The ``boxes`` and ``present`` arrays of one frame, laid out as in
-    :class:`FrameColumns`. A frame object is valid by construction, so the
-    checks of ``FrameColumns`` are skipped."""
+def _one_row(frame: FrameTruth | FramePrediction) -> _Block:
+    """One frame as a :class:`_Block` of one row. A frame object is valid
+    by construction, so the checks of ``FrameColumns`` are skipped."""
     rows, present = FrameColumns._columns_of((frame,))
-    return SimpleNamespace(boxes=np.array(rows, dtype=np.float64), present=np.array(present))
+    return _Block(np.array(rows, dtype=np.float64), np.array(present))
 
 
 def _one_frame(g: FrameTruth, p: FramePrediction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -266,18 +264,29 @@ def _py_min(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray:
     return np.where(b < a, b, a)
 
 
+class _Block(NamedTuple):
+    """Frames laid out as in :class:`FrameColumns`, unchecked: ``(..., 4)``
+    boxes and ``(...)`` presence, for one frame, one sequence or a block of
+    equal-length sequences with a leading sequence axis; an expert stream's
+    frames add ``(...)`` confidences."""
+
+    boxes: np.ndarray
+    present: np.ndarray
+    confidence: np.ndarray | None = None
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _frame_values(gt, pred) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-frame overlap, centre distance and correct-absence mask.
 
-    ``gt`` and ``pred`` carry ``boxes`` ``(..., 4)`` and ``present``
-    ``(...)`` arrays laid out as in :class:`FrameColumns`: one frame, one
-    sequence, or a block of equal-length sequences. This is the only
-    implementation of the per-frame protocol; the scalar functions call it
-    on one frame. Each axis overlap is anchored at the right-most low edge,
-    so identical boxes overlap by exactly their size. The distance is NaN,
-    which passes no threshold, wherever either side is absent. Overflow on
-    huge finite boxes gives the IEEE result without a warning.
+    ``gt`` and ``pred`` are each a :class:`FrameColumns` or a
+    :class:`_Block`, of equal shape: one frame, one sequence, or a block of
+    equal-length sequences. This is the only implementation of the
+    per-frame protocol; the scalar functions call it on one frame. Each
+    axis overlap is anchored at the right-most low edge, so identical boxes
+    overlap by exactly their size. The distance is NaN, which passes no
+    threshold, wherever either side is absent. Overflow on huge finite
+    boxes gives the IEEE result without a warning.
     """
     g, p = gt.boxes, pred.boxes
     both = gt.present & pred.present

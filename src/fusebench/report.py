@@ -151,14 +151,13 @@ def load_score_table(path: str | Path) -> list[tuple[str, float, float, float]]:
     path = Path(path)
     rows: list[tuple[str, float, float, float]] = []
     with _reading(path), path.open(newline="", encoding="utf-8") as fh:
-        for line_no, record in enumerate(csv.reader(fh), start=1):
-            if not record or not "".join(record).strip():
-                continue
+        records = ((n, r) for n, r in enumerate(csv.reader(fh), start=1) if r and "".join(r).strip())
+        for i, (line_no, record) in enumerate(records):
             with _reading(f"line {line_no}"):
                 if len(record) != 4:
                     raise FusebenchError(f"expected 4 columns, got {len(record)}")
                 name, *scores = [c.strip() for c in record]
-                if line_no == 1 and not _is_number(scores[0]):
+                if i == 0 and not _is_number(scores[0]):  # the first non-blank row may be the header
                     if [name.lower(), *[s.lower() for s in scores]] != _SCORE_TABLE_HEADER:
                         raise FusebenchError(f"header must be {','.join(_SCORE_TABLE_HEADER)}")
                     continue
@@ -421,13 +420,11 @@ def parse_report(
         objs = objects()
         head = next(objs, {})
         schema = next((s for s in _SCHEMAS if s.type == head.get("type")), None)
-        if schema is None:
-            raise FusebenchError(f"not a json-lines report: header type {head.get('type')!r} is unknown")
-        return schema.parse(head, objs)
-    except FusebenchError:
-        raise
+        if schema is not None:
+            return schema.parse(head, objs)
     except json.JSONDecodeError as e:
         raise FusebenchError(f"line {at}: not json: {e.msg}") from e
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:  # a report constructor's FusebenchError among them
         detail = f"missing key {e}" if isinstance(e, KeyError) else e
         raise FusebenchError(f"{f'line {at}' if at else 'report'}: malformed report: {detail}") from e
+    raise FusebenchError(f"not a json-lines report: header type {head.get('type')!r} is unknown")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .fusion import fuse_streams  # noqa: F401
 from .metrics import (
     MetricConfig,
     ScenarioReport,
+    _Block,
     _curves,
     _frame_values,
     _one_row,
@@ -242,8 +243,8 @@ def calibrate_confidence(pred: FramePrediction, gt: FrameTruth, noise: float = 0
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         draw = rng.uniform(-noise, noise)
     pred = _one_row(pred)
-    block, _ = _calibrated(_row(_one_row(gt)), pred.boxes[None], pred.present[None], noise, np.array([[draw]]))
-    return float(block.confidence[0, 0])
+    block, _ = _calibrated(_one_row(gt), pred.boxes, pred.present, noise, np.array([draw]))
+    return float(block.confidence[0])
 
 
 def _draws(
@@ -271,17 +272,6 @@ def _draws(
             values[i:j] = draw(lo[i:j], hi[i:j])
         out_s[used_s] = values
     return out
-
-
-class _Block(NamedTuple):
-    """Frames of a block of equal-length sequences, laid out as in
-    :class:`FrameColumns` with a leading sequence axis: ``(S, T, 4)`` boxes
-    and ``(S, T)`` presence; an expert stream's block adds ``(S, T)``
-    confidences."""
-
-    boxes: np.ndarray
-    present: np.ndarray
-    confidence: np.ndarray | None = None
 
 
 def _trajectory_block(cfg: ScenarioConfig, seeds: Sequence) -> _Block:
@@ -568,14 +558,14 @@ def _scenario_block(
     rngs = [np.random.default_rng(child_seed(cfg.seed, i, 3)) for i in seqs]
     fused, fused_values = _fuse_block(gt, rgb_values[0], tir_values[0], rgb_mask, tir_mask, cfg.fused, rngs)
 
-    # (S, T, 3) overlap, distance and correct-absence, columns as EXPERTS
-    values = [np.stack(v, axis=-1) for v in zip(rgb_values, tir_values, fused_values)]
+    # per value (overlap, distance, correct-absence), one array per expert in EXPERTS order
+    values = list(zip(rgb_values, tir_values, fused_values))
     confidences = np.stack([rgb.confidence, tir.confidence, fused.confidence], axis=-1)
     selected = _tie_argmax(confidences, DEFAULT_TIE_POLICY)
-    best = _tie_argmax(values[0], DEFAULT_TIE_POLICY)
+    best = _tie_argmax(np.stack(values[0], axis=-1), DEFAULT_TIE_POLICY)
 
     def picked(chosen: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple(np.take_along_axis(v, chosen[..., None], axis=-1)[..., 0] for v in values)
+        return tuple(np.choose(chosen, v) for v in values)
 
     policy_values = {
         "selection": picked(selected),

@@ -335,6 +335,16 @@ class TestParseReportRejectsMalformedInput:
         "no-type": ('{"kind":"curve"}', "not a json-lines report"),
         "unknown-type": ('{"type":"histogram"}', "not a json-lines report: header type 'histogram' is unknown"),
         "bad-value": ('{"type":"curve"}\n{"threshold":"a","score":1}', "report: malformed report"),
+        "curve-not-increasing": ('{"type":"curve"}\n{"threshold":1.0,"score":1}\n{"threshold":0.5,"score":1}',
+                                 "^report: malformed report: curve thresholds must be strictly increasing$"),
+        "evaluation-curve-not-increasing": (
+            '{"type":"evaluation-report","tracker":"t","pr_report_threshold":20.0,'
+            '"sequence_counts":{},"frame_counts":{},"selection_ratios":null}\n'
+            '{"part":"overall","curve":"pr","thresholds":[1.0,0.5],"scores":[1,1]}',
+            "^line 2: malformed report: curve thresholds must be strictly increasing$"),
+        "trace-winner-beaten": ('{"type":"selection-trace"}\n{"frame":0,"chosen":"rgb","cs_rgb":0,"cs_tir":1,"cs_rgbt":0}',
+                                "^report: malformed report: frame 0: chosen expert rgb does not attain "
+                                "the winning confidence$"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -279,6 +279,18 @@ class TestSimulate:
         proc = run_cli("simulate", "--config", "no-such-scenario", "--out", str(tmp_path / "o"))
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("text", ["{nope", json.dumps({"kind": "metrics"})], ids=["not-json", "metrics"])
+    def test_missing_path_beside_a_json_file_exits_three(self, tmp_path, text):
+        # --config is a file or a bundled name; x.json is not read for x
+        (tmp_path / "x.json").write_text(text)
+        proc = run_cli("simulate", "--config", str(tmp_path / "x"), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 3, proc.stderr
+        available = ", ".join(fio.bundled_scenario_names())
+        assert proc.stderr.splitlines() == [
+            f"error: unknown bundled scenario {str(tmp_path / 'x')!r}; available: {available}"
+        ]
+        assert not (tmp_path / "o").exists()
+
 
 class TestAnalyze:
     TABLE = "benchmark,rgbt,rgb,tir\nGTOT,92.9,84.9,64.3\nMV-RGBT,65.3,44.0,39.7\n"
@@ -333,6 +345,20 @@ class TestAnalyze:
         path.write_text("GTOT,92.9,84.9,64.3\n")
         proc = run_cli("analyze", str(path), "--expect", "GTOT.mean_rank=1")
         assert proc.returncode == 0, proc.stderr
+
+    def test_header_after_blank_rows(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("\n , ,,\nbenchmark,rgbt,rgb,tir\nA,2,1,1\n")
+        proc = run_cli("analyze", str(path), "--format", "csv", "--expect", "A.mean_rank=1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == export_report(balanced_indicators([("A", 2.0, 1.0, 1.0)]), "csv")
+
+    def test_header_only_as_the_first_non_blank_row(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("\nA,2,1,1\nbenchmark,rgbt,rgb,tir\n")
+        proc = run_cli("analyze", str(path))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {path}: line 3: scores must be numbers"]
 
 
 class TestUsage:

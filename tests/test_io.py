@@ -290,6 +290,18 @@ class TestBundledScenarios:
         with pytest.raises(ConfigError):
             fio.bundled_scenario("does-not-exist")
 
+    def test_every_name_loads_as_a_scenario_config(self):
+        for name in fio.bundled_scenario_names():
+            assert isinstance(fio.bundled_scenario(name), ScenarioConfig), name
+
+    @pytest.mark.parametrize("text", ["{nope", json.dumps({"kind": "metrics"}), json.dumps({"kind": "scenario"})])
+    def test_a_path_is_no_name(self, tmp_path, text):
+        # the json file beside the path is never read, whatever it holds
+        (tmp_path / "x.json").write_text(text)
+        for name in (str(tmp_path / "x"), "/abs/x", "../scenarios/common-scenario"):
+            with pytest.raises(ConfigError, match="unknown bundled scenario"):
+                fio.bundled_scenario(name)
+
 
 # -- bulk parser: same results and errors as a line-by-line reference -------
 
