@@ -129,7 +129,7 @@ class SelectionRecord:
             )
 
     def score_of(self, expert: Expert) -> float:
-        return (self.cs_rgb, self.cs_tir, self.cs_rgbt)[EXPERTS.index(expert)]
+        return getattr(self, f"cs_{Expert(expert).value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,11 +231,12 @@ def _select_by_score(
     frame.
     """
     chosen = _tie_argmax(scores, tie)
+    frames = np.arange(len(chosen))
     preds = [s.predictions for s in streams]
     picked = PredictionColumns(
-        np.choose(chosen[:, None], [p.boxes for p in preds]),
-        np.choose(chosen, [p.present for p in preds]),
-        np.choose(chosen, [p.confidence for p in preds]),
+        np.stack([p.boxes for p in preds])[chosen, frames],
+        np.stack([p.present for p in preds])[chosen, frames],
+        np.stack([p.confidence for p in preds])[chosen, frames],
     )
     return chosen, picked
 

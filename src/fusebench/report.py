@@ -424,7 +424,11 @@ def parse_report(
             return schema.parse(head, objs)
     except json.JSONDecodeError as e:
         raise FusebenchError(f"line {at}: not json: {e.msg}") from e
-    except (KeyError, TypeError, ValueError) as e:  # a report constructor's FusebenchError among them
+    except (KeyError, TypeError, ValueError) as e:
         detail = f"missing key {e}" if isinstance(e, KeyError) else e
-        raise FusebenchError(f"{f'line {at}' if at else 'report'}: malformed report: {detail}") from e
+        message = f"{f'line {at}' if at else 'report'}: malformed report: {detail}"
+        if isinstance(e, FusebenchError):  # a report constructor's: keeps its class, as under _reading
+            e.args = (message,)
+            raise
+        raise FusebenchError(message) from e
     raise FusebenchError(f"not a json-lines report: header type {head.get('type')!r} is unknown")

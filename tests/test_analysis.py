@@ -32,6 +32,7 @@ from fusebench import (
     subset_manifest,
 )
 from fusebench import analysis
+from fusebench.errors import ConfigError
 from fusebench import report as report_module
 from conftest import random_benchmark
 
@@ -352,3 +353,7 @@ class TestParseReportRejectsMalformedInput:
         text, message = self.CASES[case]
         with pytest.raises(FusebenchError, match=message):
             parse_report(text)
+
+    def test_a_report_constructors_error_keeps_its_class(self):
+        with pytest.raises(ConfigError, match="^report: malformed report: curve thresholds"):
+            parse_report(self.CASES["curve-not-increasing"][0])
