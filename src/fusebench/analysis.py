@@ -58,25 +58,23 @@ def compositional_eval(
     """
     cfg = cfg or MetricConfig()
     overall = benchmark_scores(manifest, results, cfg)
+    tags, lengths = [s.subset for s in manifest.sequences], [len(s) for s in manifest.sequences]
+    return _report(overall, tags, lengths, cfg, tracker, selection_ratios)
+
+
+def _report(overall: BenchmarkScores, tags: Sequence[Subset], lengths: Sequence[int], cfg: MetricConfig,
+            tracker: str, selection_ratios: tuple[float, float, float] | None = None) -> EvaluationReport:
+    """The report of :func:`compositional_eval` from the overall scores and
+    each sequence's subset tag and frame count, in manifest order."""
     subsets: dict[str, BenchmarkScores] = {}
-    sequence_counts = {"overall": manifest.m}
-    frame_counts = {"overall": sum(len(s) for s in manifest.sequences)}
-    for tag in ("rgb", "tir"):
-        subset = Subset(tag)
-        rows = [i for i, s in enumerate(manifest.sequences) if s.subset is subset]
-        sequence_counts[tag] = len(rows)
-        frame_counts[tag] = sum(len(manifest.sequences[i]) for i in rows)
-        if rows:
-            subsets[tag] = overall.of_sequences(rows, cfg)
-    untagged = manifest.subset(Subset.UNSPECIFIED)
-    sequence_counts["untagged"] = len(untagged)
-    frame_counts["untagged"] = sum(len(s) for s in untagged)
-    return EvaluationReport(
-        tracker=tracker,
-        pr_report_threshold=cfg.pr_report_threshold,
-        overall=overall,
-        subsets=subsets,
-        sequence_counts=sequence_counts,
-        frame_counts=frame_counts,
-        selection_ratios=selection_ratios,
-    )
+    sequence_counts = {"overall": len(tags)}
+    frame_counts = {"overall": sum(lengths)}
+    for tag in Subset:  # rgb, tir, then the untagged
+        rows = [i for i, t in enumerate(tags) if t is tag]
+        key = "untagged" if tag is Subset.UNSPECIFIED else tag.value
+        sequence_counts[key] = len(rows)
+        frame_counts[key] = sum(lengths[i] for i in rows)
+        if rows and tag is not Subset.UNSPECIFIED:
+            subsets[key] = overall.of_sequences(rows, cfg)
+    return EvaluationReport(tracker, cfg.pr_report_threshold, overall, subsets, sequence_counts, frame_counts,
+                            selection_ratios)

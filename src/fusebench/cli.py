@@ -12,10 +12,10 @@ from pathlib import Path
 from . import io as fio
 from .__main__ import Expectation, _emit
 from .__main__ import main as _main
-from .analysis import compositional_eval, subset_manifest
-from .errors import ConfigError
+from .analysis import _report
+from .errors import ConfigError, EmptySubsetError
 from .fusion import TiePolicy, fuse_streams, selection_ratios
-from .metrics import MetricConfig
+from .metrics import MetricConfig, _scores_of_rows, _sequence_rows
 from .report import export_report
 from .simulate import ScenarioConfig, run_scenario
 
@@ -40,12 +40,22 @@ def _flat_scores(values: dict[str, float], prefix: str, s) -> None:
 
 
 def cmd_evaluate(args) -> dict[str, float]:
-    manifest = fio.load_manifest(args.manifest)
+    # one sequence at a time: only its score rows, tag and length outlive its boxes
+    manifest, results = Path(args.manifest), Path(args.results)
+    _, entries = fio._manifest_entries(manifest)
     cfg = _metric_config(args)
-    results = fio.load_results(manifest, args.results)
+    rows, tags, lengths = [], [], []
+    for entry in entries:
+        seq = fio._load_sequence(manifest.parent, entry)
+        rows.append(_sequence_rows(seq, fio._load_result(seq, results), cfg))
+        tags.append(seq.subset)
+        lengths.append(len(seq))
     if args.subset in ("rgb", "tir"):
-        manifest = subset_manifest(manifest, args.subset)
-    report = compositional_eval(manifest, results, cfg, tracker=Path(args.results).name)
+        kept = [i for i, tag in enumerate(tags) if tag == args.subset]
+        if not kept:
+            raise EmptySubsetError(args.subset)
+        rows, tags, lengths = ([column[i] for i in kept] for column in (rows, tags, lengths))
+    report = _report(_scores_of_rows(*zip(*rows), cfg), tags, lengths, cfg, results.name)
     values: dict[str, float] = {}
     _flat_scores(values, "", report.overall)
     if args.subset == "all":

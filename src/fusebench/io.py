@@ -17,8 +17,8 @@ Confidence sidecars
 Manifest (JSON)
     ``{"name": str?, "sequences": [{"id": str, "groundtruth": path,
     "subset": "rgb"|"tir"|"none"?}, ...]}``. Paths are relative to the
-    manifest's directory. Sequence ids must be unique. Unknown keys are
-    rejected.
+    manifest's directory. Sequence ids must be unique file names, not
+    ``.`` or ``..`` and without a path separator. Unknown keys are rejected.
 
 Config (JSON)
     A single object with an optional ``"kind"`` key: ``"metrics"``
@@ -44,6 +44,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -52,6 +53,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DuplicateSequenceIdError,
     FusebenchError,
     MalformedLineError,
     NegativeExtentError,
@@ -258,9 +260,9 @@ def _check_keys(d: Mapping, allowed: set[str], where: str) -> None:
             raise UnknownKeyError(k, where)
 
 
-def load_manifest(path: str | Path) -> DatasetManifest:
-    """Load a manifest and eagerly parse every referenced groundtruth file."""
-    path = Path(path)
+def _manifest_entries(path: Path) -> tuple[str, list[dict]]:
+    """The name and the checked sequence entries of the manifest at ``path``;
+    ids are unique file names, so ``<id>.txt`` stays in a results directory."""
     with _reading(path):
         raw = json.loads(_read_text(path) or "{}")
         if not isinstance(raw, dict):
@@ -274,6 +276,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         name = raw.get("name", "")
         if not isinstance(name, str):
             raise ConfigError(f"name must be a string, got {name!r}")
+        seen: set[str] = set()
         for entry in entries:
             if not isinstance(entry, dict):
                 raise ConfigError("sequence entries must be objects")
@@ -285,18 +288,41 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                     raise ConfigError(f"sequence {key} must be a string, got {entry[key]!r}")
             if entry.get("subset", "none") not in list(Subset):  # list: a tag may be unhashable
                 raise ConfigError(f"unknown subset tag {entry['subset']!r}")
+            sid = entry["id"]
+            if sid in ("", ".", "..") or any(sep and sep in sid for sep in ("/", os.sep, os.altsep)):
+                raise ConfigError(f"sequence id must be a plain file name, got {sid!r}")
+            if sid in seen:
+                raise DuplicateSequenceIdError(f"duplicate sequence id {sid!r}")
+            seen.add(sid)
+    return name, entries
 
-    sequences: list[SequenceAnnotation] = []
-    for entry in entries:
-        sid = entry["id"]
-        gt_path = path.parent / entry["groundtruth"]
-        if not gt_path.is_file():
-            raise FileNotFoundError(f"groundtruth file for sequence {sid!r} not found: {gt_path}")
-        with _reading(gt_path):
-            frames = _truth_columns(_read_text(gt_path))
-            sequences.append(SequenceAnnotation(sid, frames, entry.get("subset", "none")))
-    with _reading(path):
-        return DatasetManifest(tuple(sequences), name=name)
+
+def _load_sequence(root: Path, entry: dict) -> SequenceAnnotation:
+    """The sequence of a checked manifest entry; its groundtruth path is relative to ``root``."""
+    gt_path = root / entry["groundtruth"]
+    if not gt_path.is_file():
+        raise FileNotFoundError(f"groundtruth file for sequence {entry['id']!r} not found: {gt_path}")
+    with _reading(gt_path):
+        return SequenceAnnotation(entry["id"], _truth_columns(_read_text(gt_path)), entry.get("subset", "none"))
+
+
+def _load_result(seq: SequenceAnnotation, results_dir: Path) -> PredictionColumns:
+    """The predictions of ``seq`` in ``results_dir``; another length is an error naming the file."""
+    pred_path = results_dir / f"{seq.id}.txt"
+    if not pred_path.is_file():
+        raise FileNotFoundError(f"prediction file for sequence {seq.id!r} not found: {pred_path}")
+    conf_path = Path(str(pred_path) + ".conf")
+    preds = _load_predictions(pred_path, conf_path if conf_path.is_file() else None)
+    with _reading(pred_path):
+        _check_lengths(seq.id, groundtruth=len(seq), predictions=len(preds))
+    return preds
+
+
+def load_manifest(path: str | Path) -> DatasetManifest:
+    """Load a manifest and eagerly parse every referenced groundtruth file."""
+    path = Path(path)
+    name, entries = _manifest_entries(path)
+    return DatasetManifest(tuple(_load_sequence(path.parent, e) for e in entries), name=name)
 
 
 def load_results(manifest: DatasetManifest, results_dir: str | Path) -> dict[str, PredictionColumns]:
@@ -305,18 +331,7 @@ def load_results(manifest: DatasetManifest, results_dir: str | Path) -> dict[str
     Files are ``<sequence id>.txt`` with optional ``.conf`` sidecars. Each
     sequence's predictions are returned as :class:`PredictionColumns`.
     """
-    results_dir = Path(results_dir)
-    out: dict[str, PredictionColumns] = {}
-    for seq in manifest.sequences:
-        pred_path = results_dir / f"{seq.id}.txt"
-        if not pred_path.is_file():
-            raise FileNotFoundError(f"prediction file for sequence {seq.id!r} not found: {pred_path}")
-        conf_path = Path(str(pred_path) + ".conf")
-        preds = _load_predictions(pred_path, conf_path if conf_path.is_file() else None)
-        with _reading(pred_path):
-            _check_lengths(seq.id, groundtruth=len(seq), predictions=len(preds))
-        out[seq.id] = preds
-    return out
+    return {seq.id: _load_result(seq, Path(results_dir)) for seq in manifest.sequences}
 
 
 def load_expert_stream(path: str | Path, expert: Expert | str) -> ExpertStream:

@@ -378,18 +378,21 @@ def benchmark_scores(
     (:meth:`BenchmarkScores.of_sequences`).
     """
     cfg = cfg or MetricConfig()
-    ths = np.asarray(cfg.success_thresholds)
-    thp = np.asarray(cfg.precision_thresholds)
-    sr_rows, pr_rows = [], []
+    rows = []
     for seq in manifest.sequences:
         if seq.id not in results:
             raise MissingSequenceResultError(seq.id)
-        pred = PredictionColumns.from_frames(results[seq.id])
-        _check_lengths(seq.id, groundtruth=len(seq.frames), predictions=len(pred))
-        sr_seq, pr_seq = _curves(_frame_values(seq.frames, pred), ths, thp, cfg.pooling)
-        sr_rows.append(sr_seq)
-        pr_rows.append(pr_seq)
-    return _scores_of_rows(np.array(sr_rows), np.array(pr_rows), cfg)
+        rows.append(_sequence_rows(seq, results[seq.id], cfg))
+    return _scores_of_rows(*zip(*rows), cfg)
+
+
+def _sequence_rows(seq: SequenceAnnotation, pred, cfg: MetricConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One sequence's scores at every threshold of ``cfg``: its rows of
+    :attr:`BenchmarkScores.sequence_sr` and ``sequence_pr``."""
+    pred = PredictionColumns.from_frames(pred)
+    _check_lengths(seq.id, groundtruth=len(seq.frames), predictions=len(pred))
+    ths, thp = np.asarray(cfg.success_thresholds), np.asarray(cfg.precision_thresholds)
+    return _curves(_frame_values(seq.frames, pred), ths, thp, cfg.pooling)
 
 
 def _mean_of_rows(rows: np.ndarray) -> np.ndarray:
@@ -400,7 +403,9 @@ def _mean_of_rows(rows: np.ndarray) -> np.ndarray:
     return total / len(rows)
 
 
-def _scores_of_rows(sr_rows: np.ndarray, pr_rows: np.ndarray, cfg: MetricConfig) -> BenchmarkScores:
+def _scores_of_rows(sr_rows, pr_rows, cfg: MetricConfig) -> BenchmarkScores:
+    """The scores of the sequences whose rows (manifest order) are given."""
+    sr_rows, pr_rows = np.asarray(sr_rows), np.asarray(pr_rows)
     sr_curve = Curve(cfg.success_thresholds, tuple(_mean_of_rows(sr_rows)))
     pr_curve = Curve(cfg.precision_thresholds, tuple(_mean_of_rows(pr_rows)))
     sr_rows.flags.writeable = False

@@ -1,13 +1,24 @@
+import contextlib
 import csv
+import io
+import itertools
 import json
 import math
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_prediction, random_truth
 from fusebench import (
     Box,
+    EmptySubsetError,
     FramePrediction,
     FrameTruth,
     MetricConfig,
@@ -15,7 +26,9 @@ from fusebench import (
     compositional_eval,
     export_report,
     run_scenario,
+    subset_manifest,
 )
+from fusebench import cli
 from fusebench import io as fio
 from fusebench.cli import Expectation
 
@@ -131,6 +144,103 @@ class TestEvaluate:
             "--results", str(toy_dataset["results"]), "--format", "json-lines",
         )
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+def _evaluate_in_process(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``cli.main(argv)`` run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reference_evaluate(manifest_path, results_dir, fmt: str, subset: str, pooling: str) -> str:
+    """The report ``evaluate`` writes, composed from the library's public
+    loaders and scorers over the whole benchmark held in memory, or the
+    error line of an empty ``--subset``."""
+    manifest = fio.load_manifest(manifest_path)
+    results = fio.load_results(manifest, results_dir)
+    if subset != "all":
+        try:
+            manifest = subset_manifest(manifest, subset)
+        except EmptySubsetError as exc:
+            return f"error: {exc}\n"
+    report = compositional_eval(manifest, results, MetricConfig(pooling=pooling), tracker=results_dir.name)
+    return export_report(report, fmt)
+
+
+def _assert_evaluate_matches_reference(manifest_path, results_dir, out_path) -> None:
+    for fmt, subset, pooling in itertools.product(
+        ("csv", "json-lines", "table"), ("all", "rgb", "tir"), ("frame", "sequence-mean")
+    ):
+        want = _reference_evaluate(manifest_path, results_dir, fmt, subset, pooling)
+        argv = ["evaluate", "--manifest", str(manifest_path), "--results", str(results_dir),
+                "--format", fmt, "--subset", subset, "--pooling", pooling]
+        if want.startswith("error: "):
+            assert _evaluate_in_process(argv) == (3, "", want)
+            continue
+        assert _evaluate_in_process(argv) == (0, want, "")
+        assert _evaluate_in_process(argv + ["--out", str(out_path)]) == (0, "", "")
+        assert out_path.read_bytes() == want.encode()
+
+
+@st.composite
+def on_disk_benchmarks(draw):
+    """(seed, subset tags, longest sequence) of a small random benchmark."""
+    tags = draw(st.lists(st.sampled_from(["rgb", "tir", "none"]), min_size=1, max_size=5))
+    return draw(st.integers(0, 2**32 - 1)), tags, draw(st.integers(1, 12))
+
+
+class TestStreamingEvaluate:
+    """``evaluate`` reads and scores one sequence at a time; its reports
+    equal the library composition over the benchmark held in memory."""
+
+    def test_toy_dataset_matches_library_composition(self, toy_dataset):
+        _assert_evaluate_matches_reference(
+            toy_dataset["manifest"], toy_dataset["results"], toy_dataset["root"] / "report.out")
+
+    @given(on_disk_benchmarks())
+    @settings(max_examples=15, deadline=None)
+    def test_random_dataset_matches_library_composition(self, benchmark):
+        seed, tags, max_frames = benchmark
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "results").mkdir()
+            entries = []
+            for i, tag in enumerate(tags):
+                frames = [random_truth(rng) for _ in range(int(rng.integers(1, max_frames + 1)))]
+                preds = [random_prediction(rng, g) for g in frames]
+                _write(root / f"s{i}.gt", fio.write_groundtruth(frames))
+                _write(root / "results" / f"s{i}.txt", fio.write_predictions(preds))
+                if i % 2:  # a sidecar is loaded, and changes no score
+                    _write(root / "results" / f"s{i}.txt.conf", "0.5\n" * len(preds))
+                entries.append({"id": f"s{i}", "groundtruth": f"s{i}.gt", "subset": tag})
+            _write(root / "m.json", json.dumps({"sequences": entries}))
+            _assert_evaluate_matches_reference(root / "m.json", root / "results", root / "report.out")
+
+    def test_peak_memory_is_set_by_the_longest_sequence(self, tmp_path):
+        # 40 sequences x 2,000 frames of 17-digit boxes: holding every box
+        # column of both sides at once takes 40 * 2,000 * 2 * 33 B = 5.3 MB
+        rng = np.random.default_rng(5)
+        (tmp_path / "results").mkdir()
+        entries = []
+        for i in range(40):
+            rows = rng.uniform(0.0, 100.0, size=(2000, 4)).tolist()
+            text = "".join(f"{x!r},{y!r},{w!r},{h!r}\n" for x, y, w, h in rows)
+            _write(tmp_path / f"s{i}.gt", text)
+            _write(tmp_path / "results" / f"s{i}.txt", text)
+            entries.append({"id": f"s{i}", "groundtruth": f"s{i}.gt"})
+        manifest = _write(tmp_path / "m.json", json.dumps({"sequences": entries}))
+        argv = ["evaluate", "--manifest", str(manifest), "--results", str(tmp_path / "results"),
+                "--format", "json-lines", "--out", str(tmp_path / "report.jsonl")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 @pytest.fixture
@@ -479,6 +589,14 @@ MALFORMED_INPUTS = {
     "manifest lists an id twice": lambda d: (
         ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
             d["manifest"], json.dumps({"sequences": [{"id": "seq0", "groundtruth": "gt/seq0.txt"}] * 2})))],
+        d["manifest"]),
+    "manifest lists an id twice, the second with no groundtruth file": lambda d: (
+        ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(d["manifest"], json.dumps(
+            {"sequences": [{"id": "seq0", "groundtruth": "gt/seq0.txt"}, {"id": "seq0", "groundtruth": "no.txt"}]})))],
+        d["manifest"]),
+    "manifest sequence id leaves the results directory": lambda d: (
+        ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
+            d["manifest"], json.dumps({"sequences": [{"id": "../gt/seq0", "groundtruth": "gt/seq0.txt"}]})))],
         d["manifest"]),
     "scenario interval past n_frames": lambda d: (
         ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(d["root"] / "cfg.json", json.dumps(

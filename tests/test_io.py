@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import warnings
 
@@ -131,6 +132,27 @@ class TestManifest:
         path.write_text(json.dumps(manifest))
         with pytest.raises(DuplicateSequenceIdError):
             fio.load_manifest(path)
+
+    def test_duplicate_id_before_missing_groundtruth_file(self, tmp_path):
+        # every entry is checked before any groundtruth file is opened
+        (tmp_path / "a.txt").write_text("1,1,2,2\n")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"sequences": [
+            {"id": "a", "groundtruth": "a.txt"}, {"id": "a", "groundtruth": "missing.txt"}]}))
+        with pytest.raises(DuplicateSequenceIdError) as err:
+            fio.load_manifest(path)
+        assert str(err.value) == f"{path}: duplicate sequence id 'a'"
+
+    @pytest.mark.parametrize("sid", ["", ".", "..", "../a", "a/b", "/a"] + [
+        f"a{sep}b" for sep in (os.sep, os.altsep) if sep not in (None, "/")])
+    def test_id_that_is_no_plain_file_name_rejected(self, tmp_path, sid):
+        # ``<id>.txt`` must name a file inside the results directory
+        (tmp_path / "a.txt").write_text("1,1,2,2\n")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"sequences": [{"id": sid, "groundtruth": "a.txt"}]}))
+        with pytest.raises(ConfigError) as err:
+            fio.load_manifest(path)
+        assert str(err.value) == f"{path}: sequence id must be a plain file name, got {sid!r}"
 
     def test_missing_groundtruth_file(self, tmp_path):
         path = tmp_path / "m.json"
