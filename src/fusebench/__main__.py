@@ -60,9 +60,15 @@ def _check_expectations(args, values: dict[str, float]) -> int:
     return 1 if failed else 0
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 whatever the locale. A name taken from a path
+    that the locale could not decode is written back as its own bytes."""
+    Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
 

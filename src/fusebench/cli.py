@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import io as fio
-from .__main__ import Expectation, _emit
+from .__main__ import Expectation, _emit, _write_text
 from .__main__ import main as _main
 from .analysis import _report
 from .errors import ConfigError, EmptySubsetError
@@ -72,11 +72,11 @@ def cmd_fuse(args) -> dict[str, float]:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(fio.write_predictions(fused))
-    Path(str(out) + ".conf").write_text(fio.write_confidences(fused))
+    _write_text(out, fio.write_predictions(fused))
+    _write_text(str(out) + ".conf", fio.write_confidences(fused))
 
     trace_path = Path(args.trace) if args.trace else Path(str(out) + ".trace.csv")
-    trace_path.write_text(export_report(trace, "csv"))
+    _write_text(trace_path, export_report(trace, "csv"))
 
     r_rgb, r_tir, r_rgbt = selection_ratios(trace)
     print(f"selection ratios (rgb, tir, rgbt): {r_rgb:.2f}, {r_tir:.2f}, {r_rgbt:.2f}")
@@ -102,11 +102,11 @@ def cmd_simulate(args) -> dict[str, float]:
 
     out = Path(args.out)
     (out / "curves").mkdir(parents=True, exist_ok=True)
-    (out / "summary.csv").write_text(export_report(report, "csv"))
-    (out / "report.jsonl").write_text(export_report(report, "json-lines"))
+    _write_text(out / "summary.csv", export_report(report, "csv"))
+    _write_text(out / "report.jsonl", export_report(report, "json-lines"))
     for policy, s in report.policies.items():
-        (out / "curves" / f"{policy}-sr.csv").write_text(export_report(s.sr_curve, "csv"))
-        (out / "curves" / f"{policy}-pr.csv").write_text(export_report(s.pr_curve, "csv"))
+        _write_text(out / "curves" / f"{policy}-sr.csv", export_report(s.sr_curve, "csv"))
+        _write_text(out / "curves" / f"{policy}-pr.csv", export_report(s.pr_curve, "csv"))
 
     sys.stdout.write(export_report(report, "pretty-table"))
     values: dict[str, float] = {}

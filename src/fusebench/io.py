@@ -260,9 +260,15 @@ def _check_keys(d: Mapping, allowed: set[str], where: str) -> None:
             raise UnknownKeyError(k, where)
 
 
+def _check_id(sid: str) -> None:
+    """A sequence id must be a plain file name, so that ``<id>.txt`` stays in a results directory."""
+    if sid in ("", ".", "..") or any(sep and sep in sid for sep in ("/", os.sep, os.altsep)):
+        raise ConfigError(f"sequence id must be a plain file name, got {sid!r}")
+
+
 def _manifest_entries(path: Path) -> tuple[str, list[dict]]:
     """The name and the checked sequence entries of the manifest at ``path``;
-    ids are unique file names, so ``<id>.txt`` stays in a results directory."""
+    ids are unique plain file names (:func:`_check_id`)."""
     with _reading(path):
         raw = json.loads(_read_text(path) or "{}")
         if not isinstance(raw, dict):
@@ -289,8 +295,7 @@ def _manifest_entries(path: Path) -> tuple[str, list[dict]]:
             if entry.get("subset", "none") not in list(Subset):  # list: a tag may be unhashable
                 raise ConfigError(f"unknown subset tag {entry['subset']!r}")
             sid = entry["id"]
-            if sid in ("", ".", "..") or any(sep and sep in sid for sep in ("/", os.sep, os.altsep)):
-                raise ConfigError(f"sequence id must be a plain file name, got {sid!r}")
+            _check_id(sid)
             if sid in seen:
                 raise DuplicateSequenceIdError(f"duplicate sequence id {sid!r}")
             seen.add(sid)
@@ -308,6 +313,7 @@ def _load_sequence(root: Path, entry: dict) -> SequenceAnnotation:
 
 def _load_result(seq: SequenceAnnotation, results_dir: Path) -> PredictionColumns:
     """The predictions of ``seq`` in ``results_dir``; another length is an error naming the file."""
+    _check_id(seq.id)
     pred_path = results_dir / f"{seq.id}.txt"
     if not pred_path.is_file():
         raise FileNotFoundError(f"prediction file for sequence {seq.id!r} not found: {pred_path}")

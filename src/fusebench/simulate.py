@@ -187,7 +187,7 @@ class ScenarioConfig:
         if self.tir.target is not Expert.TIR:
             raise ConfigError("the tir profile must target the tir modality")
         for profile in (self.rgb, self.tir):
-            _mask_block(profile, self.n_frames, ())  # the intervals must fit the sequences
+            _mask_block(profile, self.n_frames, (), 0)  # the intervals must fit the sequences
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -256,21 +256,19 @@ def _draws(
     ``used`` (S, n, k) marks the draws each frame makes; column ``j`` is a
     ``Normal(a, b)`` draw where ``normal[j]`` and a ``Uniform(a, b)`` draw
     otherwise. Unused entries are 0. Each run of consecutive draws of one
-    kind is made in one call, which yields the same numbers as making the
-    draws one at a time in that order.
+    kind and one sequence is made in one call, which yields the same
+    numbers as making the draws one at a time in that order.
     """
+    _, n, k = used.shape
+    flat = np.flatnonzero(used)  # the draws in the order they are made
+    seq, kind = flat // (n * k), normal[flat % k]
+    starts = np.flatnonzero(np.diff(2 * seq + kind, prepend=-1)).tolist()  # a change of sequence or kind
+    lo, hi = a.take(flat), b.take(flat)
+    values = np.empty(len(flat))
+    for i, j, s, is_normal in zip(starts, [*starts[1:], len(flat)], seq[starts].tolist(), kind[starts].tolist()):
+        values[i:j] = (rngs[s].normal if is_normal else rngs[s].uniform)(lo[i:j], hi[i:j])
     out = np.zeros(used.shape)
-    for rng, used_s, a_s, b_s, out_s in zip(rngs, used, a, b, out):
-        if not used_s.any():
-            continue
-        is_normal = np.broadcast_to(normal, used_s.shape)[used_s]
-        lo, hi = a_s[used_s], b_s[used_s]
-        values = np.empty(len(is_normal))
-        cuts = (np.flatnonzero(is_normal[1:] != is_normal[:-1]) + 1).tolist()
-        for i, j in zip([0, *cuts], [*cuts, len(is_normal)]):
-            draw = rng.normal if is_normal[i] else rng.uniform
-            values[i:j] = draw(lo[i:j], hi[i:j])
-        out_s[used_s] = values
+    out.put(flat, values)
     return out
 
 
@@ -280,25 +278,24 @@ def _trajectory_block(cfg: ScenarioConfig, seeds: Sequence) -> _Block:
     all sequences walk together, frame by frame, reflecting off the extent
     (an axis the box fills keeps its centre in the middle)."""
     W, H = cfg.extent
-    lo, hi = cfg.size_range
     sizes, starts, steps = [], [], []
     for seed in seeds:
         rng = np.random.default_rng(_seed_sequence(seed))
-        w, h = rng.uniform(lo, hi), rng.uniform(lo, hi)
+        w, h = rng.uniform(*cfg.size_range, 2).tolist()
         sizes.append((w, h))
+        # two scalar calls: one call on two-element arrays takes about four times as long
         starts.append((rng.uniform(w / 2.0, W - w / 2.0), rng.uniform(h / 2.0, H - h / 2.0)))
         steps.append(rng.normal(0.0, cfg.motion_step_std, size=(cfg.n_frames - 1, 2)))
     size = np.array(sizes)
     low = size / 2.0
     span = (np.array(cfg.extent) - low) - low
-    two = 2.0 * span
     walk = np.empty((cfg.n_frames, len(seeds), 2))
     walk[0] = starts
-    with np.errstate(all="ignore"):  # a filled axis folds to NaN; too big a step overflows
+    with np.errstate(all="ignore"):  # a filled axis folds to NaN; too big a step or extent overflows
+        two = 2.0 * span
         for t, step in enumerate(np.stack(steps, axis=1), 1):
-            u = np.fmod(walk[t - 1] + step - low, two)
-            u = np.where(u < 0.0, u + two, u)
-            walk[t] = low + np.where(u <= span, u, two - u)
+            u = np.remainder(walk[t - 1] + step - low, two)  # fold into [0, two], then reflect
+            np.add(low, np.where(u <= span, u, two - u), out=walk[t])
     walk = np.where(span > 0.0, walk, low).transpose(1, 0, 2)
     if not np.isfinite(walk).all():
         raise ConfigError(f"motion_step_std {cfg.motion_step_std!r} walks the box to a non-finite position")
@@ -306,9 +303,9 @@ def _trajectory_block(cfg: ScenarioConfig, seeds: Sequence) -> _Block:
     return _Block(boxes, np.ones(walk.shape[:2], dtype=bool))
 
 
-def _mask_block(profile: DegradationProfile, n_frames: int, seeds: Sequence) -> np.ndarray:
-    """:func:`degraded_mask` of each of ``seeds``, as an ``(S, T)`` array."""
-    mask = np.zeros((len(seeds), n_frames), dtype=bool)
+def _mask_block(profile: DegradationProfile, n_frames: int, seeds: Iterable, n_seqs: int = 1) -> np.ndarray:
+    """:func:`degraded_mask` of ``n_seqs`` sequences; ``seeds`` is read only if a mask is drawn."""
+    mask = np.zeros((n_seqs, n_frames), dtype=bool)
     if profile.intervals is not None:
         for s, e in profile.intervals:
             if e > n_frames:
@@ -316,7 +313,8 @@ def _mask_block(profile: DegradationProfile, n_frames: int, seeds: Sequence) -> 
             mask[:, s:e] = True
     elif profile.fraction:
         k = int(round(profile.fraction * n_frames))
-        for row, seed in zip(mask, seeds):
+        mask[:] = k == n_frames
+        for row, seed in zip(mask, seeds if 0 < k < n_frames else ()):
             row[np.random.default_rng(_seed_sequence(seed)).choice(n_frames, size=k, replace=False)] = True
     return mask
 
@@ -384,15 +382,15 @@ def _degrade_block(
     d = _draws(rngs, used, np.array([True, True, False, False, False]), a, b)
 
     jittered = np.concatenate([g[..., :2] + d[..., :2], g[..., 2:]], axis=-1)
-    last_box = np.where(seen, jittered[seqs, last], start_box)
     boxes = np.where(informative[..., None], jittered, 0.0)
-    boxes[uniform] = np.concatenate([d[..., 2:4], ref_size], axis=-1)[uniform]
-    if behavior is DegradedBehavior.FROZEN_BOX:
+    if behavior is DegradedBehavior.UNIFORM_RANDOM_BOX:
+        boxes[mask] = np.concatenate([d[..., 2:4], ref_size], axis=-1)[mask]
+    else:  # frozen; a drift overwrites each of its runs below
+        last_box = np.where(seen, jittered[seqs, last], start_box)
         boxes[mask] = last_box[mask]
     # a drift starts from the last informative prediction on the first
     # frame of each degraded run and accumulates its steps left to right
-    edges = np.diff(np.pad(drifting.astype(np.int8), ((0, 0), (1, 1))), axis=1)
-    run_seq, at = np.nonzero(edges)
+    run_seq, at = np.nonzero(np.diff(drifting, axis=1, prepend=False, append=False))
     for s, lo, hi in zip(run_seq[::2].tolist(), at[::2].tolist(), at[1::2].tolist()):
         walk = np.concatenate([last_box[s, lo : lo + 1, :2], d[s, lo:hi, :2]])
         boxes[s, lo:hi, :2] = np.cumsum(walk, axis=0)[1:]
@@ -435,7 +433,7 @@ def degrade_modality(
         mask = degraded_mask(profile, n, child_seed(seed, 0))
     else:
         _check_lengths("degraded mask", groundtruth=n, mask=len(mask))
-        _mask_block(profile, n, ())  # a given mask still needs intervals that fit the sequence
+        _mask_block(profile, n, (), 0)  # a given mask still needs intervals that fit the sequence
     rng = np.random.default_rng(child_seed(seed, 1))
     mask = np.asarray(mask, dtype=bool)[None]
     return _stream(profile.target, _degrade_block(_row(gt.frames), mask, profile, extent, [rng])[0])
@@ -536,26 +534,27 @@ _BLOCK_FRAMES = 4096
 
 
 def _scenario_block(
-    cfg: ScenarioConfig, seqs: range, ths: np.ndarray, thp: np.ndarray, pooling: str
+    cfg: ScenarioConfig, root: np.random.SeedSequence, seqs: range, ths: np.ndarray, thp: np.ndarray, pooling: str
 ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """The sequences ``seqs`` of a scenario, evaluated as one block.
 
     Returns each policy's per-sequence success and precision rows and the
     number of frames the selection policy gave each expert. Every stream
     draws from its own per-sequence generator, in the same order as
-    :func:`degrade_modality` and :func:`synthesize_fused_expert`.
+    :func:`degrade_modality` and :func:`synthesize_fused_expert`. Seeds are
+    :func:`child_seed` of ``root``: ``(i, 0)`` trajectory, ``(i, key, 0)`` mask (built only if
+    drawn) and ``(i, key, 1)`` stream of modality ``key`` (1 rgb, 2 tir), ``(i, 3)`` fused expert.
     """
-    gt = _trajectory_block(cfg, [child_seed(cfg.seed, i, 0) for i in seqs])
+    gt = _trajectory_block(cfg, [child_seed(root, i, 0) for i in seqs])
 
     def modality(key: int, profile: DegradationProfile):
-        seeds = [child_seed(cfg.seed, i, key) for i in seqs]
-        mask = _mask_block(profile, cfg.n_frames, [child_seed(s, 0) for s in seeds])
-        rngs = [np.random.default_rng(child_seed(s, 1)) for s in seeds]
+        mask = _mask_block(profile, cfg.n_frames, (child_seed(root, i, key, 0) for i in seqs), len(seqs))
+        rngs = [np.random.default_rng(child_seed(root, i, key, 1)) for i in seqs]
         return mask, *_degrade_block(gt, mask, profile, cfg.extent, rngs)
 
     rgb_mask, rgb, rgb_values = modality(1, cfg.rgb)
     tir_mask, tir, tir_values = modality(2, cfg.tir)
-    rngs = [np.random.default_rng(child_seed(cfg.seed, i, 3)) for i in seqs]
+    rngs = [np.random.default_rng(child_seed(root, i, 3)) for i in seqs]
     fused, fused_values = _fuse_block(gt, rgb_values[0], tir_values[0], rgb_mask, tir_mask, cfg.fused, rngs)
 
     # per value (overlap, distance, correct-absence), one array per expert in EXPERTS order
@@ -589,12 +588,13 @@ def run_scenario(cfg: ScenarioConfig, metric_cfg: MetricConfig | None = None) ->
     metric_cfg = metric_cfg or MetricConfig()
     ths = np.asarray(metric_cfg.success_thresholds)
     thp = np.asarray(metric_cfg.precision_thresholds)
+    root = np.random.SeedSequence(cfg.seed)
     per_block = max(1, _BLOCK_FRAMES // cfg.n_frames)
     rows: dict[str, tuple[list, list]] = {p: ([], []) for p in POLICIES}
     chosen_counts = np.zeros(len(EXPERTS), dtype=np.int64)
     for first in range(0, cfg.n_sequences, per_block):
         seqs = range(first, min(first + per_block, cfg.n_sequences))
-        curves, counts = _scenario_block(cfg, seqs, ths, thp, metric_cfg.pooling)
+        curves, counts = _scenario_block(cfg, root, seqs, ths, thp, metric_cfg.pooling)
         chosen_counts += counts
         for p, (sr, pr) in curves.items():
             rows[p][0].append(sr)

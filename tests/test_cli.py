@@ -4,6 +4,8 @@ import io
 import itertools
 import json
 import math
+import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -469,6 +471,42 @@ class TestAnalyze:
         proc = run_cli("analyze", str(path))
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.splitlines() == [f"error: {path}: line 3: scores must be numbers"]
+
+
+#: an ASCII locale, with neither C-locale coercion (PEP 538) nor UTF-8 mode (PEP 540)
+ASCII_LOCALE = {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+
+
+class TestOutputFilesAreUtf8:
+    """Output files are UTF-8 whatever the locale; a name taken from a path
+    keeps its bytes."""
+
+    def _run(self, *args, cwd):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "fusebench", *args], capture_output=True, cwd=cwd, env={**env, **ASCII_LOCALE}
+        )
+
+    def test_analyze_table_with_a_non_ascii_benchmark(self, tmp_path):
+        (tmp_path / "t.csv").write_bytes("benchmark,rgbt,rgb,tir\nGTOT,92.9,84.9,64.3\nLasHeR-Ω,71.7,62.4,59.8\n".encode())
+        proc = self._run("analyze", "t.csv", "--format", "csv", "--out", "o.csv", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        table = balanced_indicators([("GTOT", 92.9, 84.9, 64.3), ("LasHeR-Ω", 71.7, 62.4, 59.8)])
+        assert (tmp_path / "o.csv").read_bytes() == export_report(table, "csv").encode("utf-8")
+
+    def test_evaluate_results_directory_with_a_non_ascii_name(self, toy_dataset):
+        root = toy_dataset["root"]
+        name = os.fsdecode("résultats-Ω".encode())  # the same bytes under any file-system encoding
+        shutil.copytree(toy_dataset["results"], root / name)
+        proc = self._run("evaluate", "--manifest", "manifest.json", "--results", name,
+                         "--format", "json-lines", "--out", "o.jsonl", cwd=root)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        manifest = fio.load_manifest(toy_dataset["manifest"])
+        results = fio.load_results(manifest, toy_dataset["results"])
+        report = compositional_eval(manifest, results, MetricConfig(), tracker="résultats-Ω")
+        assert (root / "o.jsonl").read_bytes() == export_report(report, "json-lines").encode("utf-8")
 
 
 class TestUsage:

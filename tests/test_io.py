@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fusebench import (
     Box,
     ConfigError,
+    DatasetManifest,
     DuplicateSequenceIdError,
     Expert,
     FramePrediction,
@@ -24,6 +25,7 @@ from fusebench import (
     NegativeExtentError,
     PredictionColumns,
     ScenarioConfig,
+    SequenceAnnotation,
     Subset,
     TruthColumns,
     UnknownKeyError,
@@ -197,6 +199,18 @@ class TestResults:
         with pytest.raises(FileNotFoundError) as err:
             fio.load_results(man, toy_dataset["results"])
         assert "seq1" in str(err.value)
+
+    @pytest.mark.parametrize("sid", ["../gt/a", "..", "", "a/b"])
+    def test_id_that_leaves_the_directory_rejected_before_any_file_is_read(self, tmp_path, monkeypatch, sid):
+        # a manifest built in code skips the manifest file's checks
+        (tmp_path / "gt").mkdir()
+        (tmp_path / "gt" / "a.txt").write_text("1,1,2,2\n")
+        (tmp_path / "results").mkdir()
+        manifest = DatasetManifest((SequenceAnnotation(sid, [FrameTruth.absent()]),))
+        monkeypatch.setattr(fio, "_load_predictions", lambda *args: pytest.fail("a prediction file was read"))
+        with pytest.raises(ConfigError) as err:
+            fio.load_results(manifest, tmp_path / "results")
+        assert str(err.value) == f"sequence id must be a plain file name, got {sid!r}"
 
     def test_expert_stream_requires_sidecar(self, tmp_path):
         p = tmp_path / "rgb.txt"

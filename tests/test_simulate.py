@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusebench import (
     Box,
@@ -109,6 +111,25 @@ class TestTrajectoryReference:
             assert row.tobytes() == want
 
 
+def test_walk_whose_doubled_span_overflows_equals_the_scalar_walk():
+    # an extent near the float maximum: 2 * span is inf, and a step past
+    # the far edge folds to inf, which is the non-finite ConfigError
+    cfg = small_cfg(n_frames=200, extent=(1.7e308, 1.7e308), size_range=(1.0, 1.0), motion_step_std=1e306)
+    outcomes = set()
+    for seed in range(20):
+        try:
+            want = reference_trajectory(cfg, seed)
+        except ValueError:  # math.fmod of a position that folded to inf
+            want = np.array([math.inf])
+        outcomes.add(bool(np.isfinite(want).all()))
+        if np.isfinite(want).all():
+            assert generate_trajectory(cfg, seed).frames.boxes.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(ConfigError, match="non-finite"):
+                generate_trajectory(cfg, seed)
+    assert outcomes == {True, False}
+
+
 class TestDegradedMask:
     def test_intervals(self):
         profile = DegradationProfile(target=Expert.RGB, intervals=((10, 20),))
@@ -131,6 +152,16 @@ class TestDegradedMask:
         b = degraded_mask(profile, 100, seed=9)
         assert a.sum() == 30
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("fraction,n_frames", [(1.0, 200), (0.9976, 200), (0.6, 1), (1.0, 1)])
+    def test_fraction_that_rounds_to_every_frame_degrades_all(self, fraction, n_frames):
+        profile = DegradationProfile(target=Expert.RGB, fraction=fraction)
+        assert degraded_mask(profile, n_frames, seed=3).all()
+
+    @pytest.mark.parametrize("fraction,n_frames", [(0.002, 200), (0.5, 1)])
+    def test_fraction_that_rounds_to_no_frame_degrades_none(self, fraction, n_frames):
+        profile = DegradationProfile(target=Expert.RGB, fraction=fraction)
+        assert not degraded_mask(profile, n_frames, seed=3).any()
 
     def test_exclusive_specification(self):
         with pytest.raises(ConfigError):
@@ -394,6 +425,78 @@ class TestRunScenario:
         run_scenario(fio.bundled_scenario("common-scenario"))
         # 100 x 200 frames in 20-sequence blocks: rgb, tir and fused once each
         assert len(calls) == 5 * 3
+
+    @pytest.mark.parametrize("name,per_sequence", [
+        ("common-scenario", 4),
+        ("mmw-one-modality-dead", 4),  # fraction 1.0: every frame is degraded, no mask is drawn
+        ("two-drawn-masks", 6),
+    ])
+    def test_builds_four_seeds_per_sequence_and_one_per_drawn_mask(self, monkeypatch, name, per_sequence):
+        cfg = small_cfg(
+            rgb=DegradationProfile(target=Expert.RGB, fraction=0.3),
+            tir=DegradationProfile(target=Expert.TIR, fraction=0.6),
+        ) if name == "two-drawn-masks" else fio.bundled_scenario(name)
+        built = []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        run_scenario(cfg)
+        # the root, then per sequence: trajectory, rgb stream, tir stream, fused expert and any drawn mask
+        assert len(built) == 1 + per_sequence * cfg.n_sequences
+
+
+def test_child_seed_composes_spawn_keys():
+    # run_scenario derives (i, key, j) from one root in one step; it is the
+    # same seed as the nested derivation child_seed(child_seed(seed, i, key), j)
+    for seed in (0, 11, 2**70):
+        for keys, more in (((3,), (1,)), ((4, 2), (0,)), ((5, 1), (1,)), ((7,), (2, 1)), ((), (3,))):
+            want = child_seed(child_seed(seed, *keys), *more).generate_state(8)
+            assert np.array_equal(child_seed(seed, *keys, *more).generate_state(8), want)
+            root = np.random.SeedSequence(seed)
+            assert np.array_equal(child_seed(root, *keys, *more).generate_state(8), want)
+
+
+def reference_draws(rngs, used, normal, a, b) -> np.ndarray:
+    """``simulate._draws`` one scalar draw at a time, in frame order."""
+    out = np.zeros(used.shape)
+    for s, rng in enumerate(rngs):
+        for t, j in zip(*np.nonzero(used[s])):
+            out[s, t, j] = (rng.normal if normal[j] else rng.uniform)(a[s, t, j], b[s, t, j])
+    return out
+
+
+@st.composite
+def draw_tables(draw):
+    """Arguments of ``simulate._draws``: each sequence draws none, all or
+    some of its table, with kinds mixed over the columns."""
+    n_seq, n, k = draw(st.integers(1, 4)), draw(st.integers(0, 12)), draw(st.integers(1, 5))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    used = data.random((n_seq, n, k)) < draw(st.sampled_from([0.2, 0.5, 0.9]))
+    for s, fill in enumerate(draw(st.lists(st.sampled_from(["none", "all", "some"]), min_size=n_seq, max_size=n_seq))):
+        if fill != "some":
+            used[s] = fill == "all"
+    normal = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    a = data.uniform(-100.0, 100.0, used.shape)
+    spread = data.uniform(0.0, 50.0, used.shape)
+    b = np.where(normal, spread, a + spread)  # a scale >= 0, or a high >= low
+    return used, normal, a, b, draw(st.integers(0, 2**32 - 1))
+
+
+class TestDrawsReference:
+    @settings(max_examples=200, deadline=None)
+    @given(table=draw_tables())
+    def test_equals_one_draw_at_a_time(self, table):
+        used, normal, a, b, seed = table
+        rngs = [np.random.default_rng([seed, s]) for s in range(len(used))]
+        ref_rngs = [np.random.default_rng([seed, s]) for s in range(len(used))]
+        got = simulate._draws(rngs, used, normal, a, b)
+        assert got.tobytes() == reference_draws(ref_rngs, used, normal, a, b).tobytes()
+        # and each generator made exactly the reference's draws
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
 
 
 CUSTOM_GRID = MetricConfig(
