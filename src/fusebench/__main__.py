@@ -66,9 +66,14 @@ def _write_text(path: str | Path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None = None) -> None:
+    """Write ``text`` to the file ``out`` or else to stdout, as UTF-8 either
+    way (see :func:`_write_text`); a stdout with no byte buffer takes text."""
     if out:
         _write_text(out, text)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
     else:
         sys.stdout.write(text)
 

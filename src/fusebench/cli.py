@@ -5,7 +5,6 @@ Importing this module imports every module these commands run.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -79,7 +78,7 @@ def cmd_fuse(args) -> dict[str, float]:
     _write_text(trace_path, export_report(trace, "csv"))
 
     r_rgb, r_tir, r_rgbt = selection_ratios(trace)
-    print(f"selection ratios (rgb, tir, rgbt): {r_rgb:.2f}, {r_tir:.2f}, {r_rgbt:.2f}")
+    _emit(f"selection ratios (rgb, tir, rgbt): {r_rgb:.2f}, {r_tir:.2f}, {r_rgbt:.2f}\n")
     return {"r_rgb": r_rgb, "r_tir": r_tir, "r_rgbt": r_rgbt}
 
 
@@ -108,7 +107,7 @@ def cmd_simulate(args) -> dict[str, float]:
         _write_text(out / "curves" / f"{policy}-sr.csv", export_report(s.sr_curve, "csv"))
         _write_text(out / "curves" / f"{policy}-pr.csv", export_report(s.pr_curve, "csv"))
 
-    sys.stdout.write(export_report(report, "pretty-table"))
+    _emit(export_report(report, "pretty-table"))
     values: dict[str, float] = {}
     for policy, s in report.policies.items():
         _flat_scores(values, f"{policy}.", s)

@@ -341,15 +341,19 @@ def _curves(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Success and precision scores at every threshold of each sequence
     whose :func:`_frame_values` lie along the last axis; the thresholds
-    become the last axis of the result."""
+    become the last axis of the result. Frame pooling sorts each sequence's
+    overlaps (correct absences at ``+inf``; never NaN) and distances (at
+    ``-inf``; NaN sorts last) and binary-searches each grid: exact counts."""
     overlap, distance, correct = values
     t = overlap.shape[-1]
     if pooling == "frame":
-        # integer indicator counts, so the division matches count / t exactly
-        correct = correct[..., None, :]
-        sr_count = ((overlap[..., None, :] > ths[:, None]) | correct).sum(axis=-1)
-        pr_count = ((distance[..., None, :] <= thp[:, None]) | correct).sum(axis=-1)
-        return sr_count / t, pr_count / t
+        lead = overlap.shape[:-1]
+        over, dist = np.where(correct, np.inf, overlap), np.where(correct, -np.inf, distance)
+        over.sort(axis=-1)
+        dist.sort(axis=-1)
+        sr_count = [t - row.searchsorted(ths, "right") for row in over.reshape(math.prod(lead), t)]
+        pr_count = [row.searchsorted(thp, "right") for row in dist.reshape(math.prod(lead), t)]
+        return np.reshape(sr_count, lead + ths.shape) / t, np.reshape(pr_count, lead + thp.shape) / t
     # sequence-mean pooling binarizes the mean raw metric; absence frames
     # contribute their correctness value (1 correct absence, 0 otherwise)
     raw_distance = np.where(np.isnan(distance), correct, distance)

@@ -24,6 +24,7 @@ so results do not depend on any execution schedule.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -122,8 +123,8 @@ class DegradationProfile:
                     raise IntervalOutOfBoundsError(f"bad interval [{s}, {e})")
         if self.fraction is not None:
             object.__setattr__(self, "fraction", _number("fraction", self.fraction, 0.0, 1.0))
-        for name in ("sigma_in", "confidence_noise"):
-            object.__setattr__(self, name, _number(name, getattr(self, name), 0.0))
+        for name, high in (("sigma_in", math.inf), ("confidence_noise", sys.float_info.max / 2)):
+            object.__setattr__(self, name, _number(name, getattr(self, name), 0.0, high))
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,8 @@ class FusedQualityModel:
     confidence_noise: float = 0.0
 
     def __post_init__(self):
-        for name, high in (("informative_weight", 1.0), ("boost", math.inf), ("confidence_noise", math.inf)):
+        limits = (("informative_weight", 1.0), ("boost", math.inf), ("confidence_noise", sys.float_info.max / 2))
+        for name, high in limits:
             object.__setattr__(self, name, _number(name, getattr(self, name), 0.0, high))
 
 
@@ -237,7 +239,7 @@ def calibrate_confidence(pred: FramePrediction, gt: FrameTruth, noise: float = 0
     ``noise = 0`` gives perfect calibration. ``seed`` may be an int, a
     ``SeedSequence`` or an existing ``Generator``.
     """
-    noise = _number("confidence noise", noise, 0.0)
+    noise = _number("confidence noise", noise, 0.0, sys.float_info.max / 2)
     draw = 0.0
     if noise > 0:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -256,19 +258,22 @@ def _draws(
     ``used`` (S, n, k) marks the draws each frame makes; column ``j`` is a
     ``Normal(a, b)`` draw where ``normal[j]`` and a ``Uniform(a, b)`` draw
     otherwise. Unused entries are 0. Each run of consecutive draws of one
-    kind and one sequence is made in one call, which yields the same
-    numbers as making the draws one at a time in that order.
+    kind and one sequence is made in one ``standard_normal`` or ``random``
+    call, and the table is then scaled once, ``a + b * z`` or
+    ``a + (b - a) * u`` as numpy's ``normal`` and ``uniform`` compute each
+    draw: the same numbers as making the draws one at a time in that order.
     """
     _, n, k = used.shape
     flat = np.flatnonzero(used)  # the draws in the order they are made
     seq, kind = flat // (n * k), normal[flat % k]
     starts = np.flatnonzero(np.diff(2 * seq + kind, prepend=-1)).tolist()  # a change of sequence or kind
-    lo, hi = a.take(flat), b.take(flat)
     values = np.empty(len(flat))
     for i, j, s, is_normal in zip(starts, [*starts[1:], len(flat)], seq[starts].tolist(), kind[starts].tolist()):
-        values[i:j] = (rngs[s].normal if is_normal else rngs[s].uniform)(lo[i:j], hi[i:j])
+        values[i:j] = (rngs[s].standard_normal if is_normal else rngs[s].random)(j - i)
+    lo, hi = a.take(flat), b.take(flat)
     out = np.zeros(used.shape)
-    out.put(flat, values)
+    with np.errstate(all="ignore"):  # numpy's C loop overflows to inf without a warning too
+        out.put(flat, lo + np.where(kind, hi, hi - lo) * values)
     return out
 
 

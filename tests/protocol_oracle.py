@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def ref_box_iou(a, b) -> float:
     ox = max(a.x, b.x)
@@ -101,3 +103,25 @@ def ref_benchmark_curves(
             acc += count / len(seq.frames)
         pr_scores.append(acc / m)
     return sr_scores, pr_scores
+
+
+def ref_curves(values, ths, thp, pooling: str):
+    """``fusebench.metrics._curves`` by broadcasting: one ``(..., K, T)``
+    indicator array per grid, summed over the frames (frame pooling), or
+    each sequence's ``math.fsum`` mean binarized (sequence-mean pooling).
+    The library sorts and binary-searches instead; the tests assert the
+    two agree bit for bit."""
+    overlap, distance, correct = values
+    t = overlap.shape[-1]
+    if pooling == "frame":
+        correct = correct[..., None, :]
+        sr_count = ((overlap[..., None, :] > ths[:, None]) | correct).sum(axis=-1)
+        pr_count = ((distance[..., None, :] <= thp[:, None]) | correct).sum(axis=-1)
+        return sr_count / t, pr_count / t
+    raw_distance = np.where(np.isnan(distance), correct, distance)
+
+    def mean(v):
+        sums = [math.fsum(row) for row in v.reshape(-1, t).tolist()]
+        return (np.array(sums) / t).reshape(v.shape[:-1] + (1,))
+
+    return (mean(overlap) > ths).astype(float), (mean(raw_distance) <= thp).astype(float)

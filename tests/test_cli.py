@@ -478,8 +478,8 @@ ASCII_LOCALE = {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
 
 
 class TestOutputFilesAreUtf8:
-    """Output files are UTF-8 whatever the locale; a name taken from a path
-    keeps its bytes."""
+    """Output files and stdout are UTF-8 whatever the locale; a name taken
+    from a path keeps its bytes."""
 
     def _run(self, *args, cwd):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
@@ -495,6 +495,13 @@ class TestOutputFilesAreUtf8:
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
         table = balanced_indicators([("GTOT", 92.9, 84.9, 64.3), ("LasHeR-Ω", 71.7, 62.4, 59.8)])
         assert (tmp_path / "o.csv").read_bytes() == export_report(table, "csv").encode("utf-8")
+
+    def test_analyze_table_with_a_non_ascii_benchmark_to_stdout(self, tmp_path):
+        (tmp_path / "t.csv").write_bytes("benchmark,rgbt,rgb,tir\nGTOT,92.9,84.9,64.3\nLasHeR-Ω,71.7,62.4,59.8\n".encode())
+        proc = self._run("analyze", "t.csv", "--format", "csv", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert self._run("analyze", "t.csv", "--format", "csv", "--out", "o.csv", cwd=tmp_path).returncode == 0
+        assert proc.stdout == (tmp_path / "o.csv").read_bytes()
 
     def test_evaluate_results_directory_with_a_non_ascii_name(self, toy_dataset):
         root = toy_dataset["root"]
@@ -639,6 +646,14 @@ MALFORMED_INPUTS = {
     "scenario interval past n_frames": lambda d: (
         ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(d["root"] / "cfg.json", json.dumps(
             {"kind": "scenario", "n_frames": 100, "rgb": {"intervals": [[0, 500]]}})))],
+        d["root"] / "cfg.json"),
+    "scenario profile confidence noise whose range overflows": lambda d: (
+        ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(d["root"] / "cfg.json", json.dumps(
+            {"kind": "scenario", "n_sequences": 2, "n_frames": 10, "rgb": {"confidence_noise": 1e308}})))],
+        d["root"] / "cfg.json"),
+    "fused-model confidence noise whose range overflows": lambda d: (
+        ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(d["root"] / "cfg.json", json.dumps(
+            {"kind": "scenario", "n_sequences": 2, "n_frames": 10, "fused": {"confidence_noise": 1e308}})))],
         d["root"] / "cfg.json"),
     "fuse stream is empty": lambda d: (
         ["fuse", "--out", str(d["root"] / "fused.txt"), "--rgb", str(_empty_stream(d["root"])),

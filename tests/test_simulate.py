@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -497,6 +498,36 @@ class TestDrawsReference:
         assert got.tobytes() == reference_draws(ref_rngs, used, normal, a, b).tobytes()
         # and each generator made exactly the reference's draws
         assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+
+
+class TestWidestNoise:
+    """A confidence noise is at most half the largest float, so that its
+    range, twice the noise, is finite."""
+
+    WIDEST = sys.float_info.max / 2
+
+    @pytest.mark.parametrize("build", [
+        lambda noise: DegradationProfile(confidence_noise=noise),
+        lambda noise: FusedQualityModel(confidence_noise=noise),
+        lambda noise: calibrate_confidence(
+            FramePrediction(Box(0, 0, 10, 10)), FrameTruth.present(Box(0, 0, 10, 10)), noise, 3),
+    ], ids=["profile", "fused-model", "calibrate"])
+    def test_noise_whose_range_overflows_rejected(self, build):
+        build(self.WIDEST)
+        with pytest.raises(ConfigError, match="confidence.noise"):
+            build(math.nextafter(self.WIDEST, math.inf))
+
+    def test_widest_draws_equal_one_draw_at_a_time(self):
+        # uniform draws over the widest noise range, and normal draws
+        # scaled past the largest float, which overflow to inf
+        used = np.ones((2, 50, 2), dtype=bool)
+        normal = np.array([True, False])
+        a, b = np.full(used.shape, -self.WIDEST), np.full(used.shape, self.WIDEST)
+        a[..., 0], b[..., 0] = 0.0, 1e308
+        got = simulate._draws([np.random.default_rng([5, s]) for s in range(2)], used, normal, a, b)
+        want = reference_draws([np.random.default_rng([5, s]) for s in range(2)], used, normal, a, b)
+        assert np.isinf(got[..., 0]).any() and np.isfinite(got[..., 1]).all()
+        assert got.tobytes() == want.tobytes()
 
 
 CUSTOM_GRID = MetricConfig(
