@@ -11,23 +11,14 @@ from fusebench import (
     ExpertStream,
     FramePrediction,
     TiePolicy,
-    aggregate_expert_losses,
-    confidence_from_score_map,
     fuse_streams,
     select_expert,
     selection_ratios,
 )
 
-# ---------------------------------------------------------------------------
-# Each expert reduces its classification score map to a single confidence:
-# the map's maximum value.
-# ---------------------------------------------------------------------------
-score_map = np.array([
-    [0.05, 0.10, 0.05],
-    [0.10, 0.92, 0.20],
-    [0.05, 0.15, 0.10],
-])
-print("confidence from score map ->", confidence_from_score_map(score_map))
+# A MoETrack expert's confidence is the maximum of its classification score
+# map, computed inside the tracker; fusebench reads it from the `.conf`
+# sidecar next to each prediction file.
 
 # The frame's winner is simply the expert with the highest confidence.
 print("argmax (0.9, 0.3, 0.7)   ->", select_expert(0.9, 0.3, 0.7))
@@ -59,7 +50,3 @@ r_rgb, r_tir, r_rgbt = selection_ratios(trace)
 print(f"\nselected per expert over {n} frames: rgb {r_rgb:.2f}, tir {r_tir:.2f}, rgbt {r_rgbt:.2f}")
 print("frames won by the fused expert:",
       [r.frame for r in trace.records if r.chosen is Expert.RGBT])
-
-# Training-side bookkeeping: the joint loss is the plain mean of the three
-# per-expert losses, keeping every head specialised.
-print("\naggregated loss of (0.3, 0.6, 0.9) ->", aggregate_expert_losses(0.3, 0.6, 0.9))

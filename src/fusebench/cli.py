@@ -12,7 +12,7 @@ from . import io as fio
 from .__main__ import Expectation, _emit, _write_text
 from .__main__ import main as _main
 from .analysis import _report
-from .errors import ConfigError, EmptySubsetError
+from .errors import ConfigError, EmptySubsetError, _reading
 from .fusion import TiePolicy, fuse_streams, selection_ratios
 from .metrics import MetricConfig, _scores_of_rows, _sequence_rows
 from .report import export_report
@@ -97,7 +97,8 @@ def _scenario_config(args) -> ScenarioConfig:
 
 def cmd_simulate(args) -> dict[str, float]:
     cfg = _scenario_config(args)
-    report = run_scenario(cfg)
+    with _reading(args.config):  # a value that only fails while simulating, such as a too big sigma_in
+        report = run_scenario(cfg)
 
     out = Path(args.out)
     (out / "curves").mkdir(parents=True, exist_ok=True)

@@ -41,14 +41,6 @@ class MissingConfidenceError(FusebenchError):
     """A prediction used for expert selection carries no confidence score."""
 
 
-class NegativeLossError(FusebenchError):
-    """A per-expert loss value is negative."""
-
-
-class EmptyScoreMapError(FusebenchError):
-    """A classification score map contains no values."""
-
-
 class EmptyTraceError(FusebenchError):
     """A selection trace contains no frames."""
 

@@ -14,28 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyScoreMapError,
-    EmptyTraceError,
-    FusebenchError,
-    NegativeLossError,
-    NonFiniteError,
-)
+from .errors import ConfigError, EmptyTraceError, FusebenchError, NonFiniteError
 from .model import Expert, ExpertStream, PredictionColumns, _check_lengths
 
 __all__ = [
     "TiePolicy",
     "DEFAULT_TIE_POLICY",
     "EXPERTS",
-    "ScoreMap",
     "SelectionRecord",
     "SelectionTrace",
-    "confidence_from_score_map",
     "select_expert",
     "fuse_streams",
     "selection_ratios",
-    "aggregate_expert_losses",
 ]
 
 
@@ -76,31 +66,6 @@ DEFAULT_TIE_POLICY = TiePolicy()
 
 #: Column order of per-frame score matrices and selection traces.
 EXPERTS = (Expert.RGB, Expert.TIR, Expert.RGBT)
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreMap:
-    """A 2-D classification score grid; non-empty, all values finite."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2:
-            raise FusebenchError(f"score map must be 2-D, got shape {arr.shape}")
-        if arr.size == 0:
-            raise EmptyScoreMapError("score map has no values")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError("score map contains non-finite values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
-def confidence_from_score_map(score_map: ScoreMap | np.ndarray) -> float:
-    """Reduce a classification score map to a confidence: its maximum value."""
-    if not isinstance(score_map, ScoreMap):
-        score_map = ScoreMap(score_map)
-    return float(score_map.values.max())
 
 
 @dataclass(frozen=True)
@@ -268,12 +233,3 @@ def selection_ratios(trace: SelectionTrace) -> tuple[float, float, float]:
         raise EmptyTraceError("selection trace has no frames")
     return tuple((np.bincount(trace.chosen, minlength=len(EXPERTS)) / n).tolist())
 
-
-def aggregate_expert_losses(l_rgb: float, l_tir: float, l_rgbt: float) -> float:
-    """Arithmetic mean of the three per-expert losses."""
-    for v in (l_rgb, l_tir, l_rgbt):
-        if not math.isfinite(v):
-            raise NonFiniteError(f"loss must be finite, got {v!r}")
-        if v < 0:
-            raise NegativeLossError(f"loss must be non-negative, got {v}")
-    return (l_rgb + l_tir + l_rgbt) / 3.0

@@ -57,7 +57,6 @@ from .model import (
     FrameTruth,
     PredictionColumns,
     SequenceAnnotation,
-    TruthColumns,
     _check_lengths,
 )
 from .report import POOLING_MODES
@@ -324,15 +323,16 @@ def sequence_score(
     selects frame-indicator averaging (default) or the sequence-mean
     variant that binarizes the mean raw metric.
     """
-    frames = TruthColumns.from_frames(gt.frames if isinstance(gt, SequenceAnnotation) else gt)
+    if not isinstance(gt, SequenceAnnotation):
+        gt = SequenceAnnotation("sequence", gt)  # a bare frame list, held to the same rules
     pred = PredictionColumns.from_frames(pred)
-    _check_lengths(getattr(gt, "id", "sequence"), groundtruth=len(frames), predictions=len(pred))
+    _check_lengths(gt.id, groundtruth=len(gt), predictions=len(pred))
     if kind not in ("success", "precision"):
         raise ConfigError(f"kind must be 'success' or 'precision', got {kind!r}")
     if pooling not in POOLING_MODES:
         raise ConfigError(f"pooling must be one of {POOLING_MODES}, got {pooling!r}")
     th = _number("th_s", th, 0.0, 1.0) if kind == "success" else _number("th_p", th, 0.0)
-    sr, pr = _curves(_frame_values(frames, pred), np.array([th]), np.array([th]), pooling)
+    sr, pr = _curves(_frame_values(gt.frames, pred), np.array([th]), np.array([th]), pooling)
     return float(sr[0] if kind == "success" else pr[0])
 
 

@@ -381,12 +381,15 @@ def _degrade_block(
     used[..., 4] = profile.confidence_noise > 0
     a = np.zeros((n_seq, n, 5))
     b = np.zeros((n_seq, n, 5))
-    b[..., :2] = np.where(drifting[..., None], step[..., None], profile.sigma_in * g[..., 2:])
+    with np.errstate(all="ignore"):  # too big a sigma_in overflows; the jittered boxes are checked below
+        b[..., :2] = np.where(drifting[..., None], step[..., None], profile.sigma_in * g[..., 2:])
     b[..., 2:4] = _py_max(np.array([W, H]) - ref_size, 0.0)
     a[..., 4], b[..., 4] = -profile.confidence_noise, profile.confidence_noise
     d = _draws(rngs, used, np.array([True, True, False, False, False]), a, b)
 
     jittered = np.concatenate([g[..., :2] + d[..., :2], g[..., 2:]], axis=-1)
+    if not np.isfinite(jittered).all():
+        raise ConfigError(f"sigma_in {profile.sigma_in!r} jitters the box to a non-finite position")
     boxes = np.where(informative[..., None], jittered, 0.0)
     if behavior is DegradedBehavior.UNIFORM_RANDOM_BOX:
         boxes[mask] = np.concatenate([d[..., 2:4], ref_size], axis=-1)[mask]

@@ -203,9 +203,12 @@ class TestBalancedIndicators:
 
     @given(
         scores=st.lists(st.tuples(positive, positive, positive), min_size=1, max_size=8),
-        factor=st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
+        k=st.integers(min_value=-3, max_value=3),
     )
-    def test_scale_invariance_and_rank_permutation(self, scores, factor):
+    def test_scale_invariance_and_rank_permutation(self, scores, k):
+        # a power of two scales every score exactly, so each gap is
+        # bit-identical; another factor can round two gaps into a tie
+        factor = 2.0**k
         rows = [(f"b{i}", *t) for i, t in enumerate(scores)]
         scaled = [(n, r * factor, g * factor, t * factor) for n, r, g, t in rows]
         a = balanced_indicators(rows)
@@ -220,6 +223,14 @@ class TestBalancedIndicators:
         # average-rank columns sum to n(n+1)/2 like a permutation
         assert math.isclose(sum(r.rank_fusion for r in a.rows), n * (n + 1) / 2)
         assert math.isclose(sum(r.rank_modality for r in a.rows), n * (n + 1) / 2)
+
+    def test_scaling_by_a_tenth_can_round_into_a_tie(self):
+        # 99.99999999999999 * 0.1 == 100 * 0.1 in floats: the scaled rows
+        # really tie on the fusion gap, so no ranking can keep ranks 2 and 1
+        rows = [("b0", 1.0, 1.0, 1.0), ("b1", 100.0, 1.0, 99.99999999999999)]
+        assert [r.rank_fusion for r in balanced_indicators(rows).rows] == [2.0, 1.0]
+        scaled = [(n, r * 0.1, g * 0.1, t * 0.1) for n, r, g, t in rows]
+        assert [r.rank_fusion for r in balanced_indicators(scaled).rows] == [1.5, 1.5]
 
 
 # exact ties: every winner attains the row maximum, which another expert

@@ -655,6 +655,15 @@ MALFORMED_INPUTS = {
         ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(d["root"] / "cfg.json", json.dumps(
             {"kind": "scenario", "n_sequences": 2, "n_frames": 10, "fused": {"confidence_noise": 1e308}})))],
         d["root"] / "cfg.json"),
+    "scenario sigma_in whose jitter scale overflows": lambda d: (
+        ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(d["root"] / "cfg.json", json.dumps(
+            {"kind": "scenario", "n_sequences": 2, "n_frames": 10, "rgb": {"sigma_in": 1e307}})))],
+        d["root"] / "cfg.json"),
+    # a finite scale whose draws overflow: 50 frames draw one beyond 3.1 sigma
+    "scenario sigma_in whose jitter draws overflow": lambda d: (
+        ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(d["root"] / "cfg.json", json.dumps(
+            {"kind": "scenario", "n_sequences": 2, "n_frames": 50, "rgb": {"sigma_in": 1e306}})))],
+        d["root"] / "cfg.json"),
     "fuse stream is empty": lambda d: (
         ["fuse", "--out", str(d["root"] / "fused.txt"), "--rgb", str(_empty_stream(d["root"])),
          "--tir", str(d["root"] / "empty.txt"), "--rgbt", str(d["root"] / "empty.txt")],
@@ -708,13 +717,14 @@ class TestMalformedInputExitsThree:
         assert path.name in lines[0] and next(iter(config)) in lines[0], proc.stderr
 
     def test_non_finite_walk(self, tmp_path):
-        # raised while simulating, after the file was read, so the line
-        # names the key but not the file
+        # raised while simulating, after the file was read; the line names
+        # the key and the file
         path = _write(tmp_path / "cfg.json", json.dumps({"kind": "scenario", "motion_step_std": 1e308}))
         proc = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 3, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "motion_step_std" in lines[0], proc.stderr
+        assert path.name in lines[0], proc.stderr
 
     def test_negative_seed_option(self, tmp_path):
         proc = run_cli("simulate", "--config", "common-scenario", "--out", str(tmp_path), "--seed", "-1")

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,24 +6,18 @@ from hypothesis import strategies as st
 from fusebench import (
     Box,
     ConfigError,
-    EmptyScoreMapError,
     EmptyTraceError,
     Expert,
     EXPERTS,
     ExpertStream,
     FramePrediction,
     FrameTruth,
-    FusebenchError,
     LengthMismatchError,
-    NegativeLossError,
     NonFiniteError,
-    ScoreMap,
     SequenceAnnotation,
     SelectionRecord,
     SelectionTrace,
     TiePolicy,
-    aggregate_expert_losses,
-    confidence_from_score_map,
     fuse_streams,
     iou,
     oracle_best_selection,
@@ -40,29 +32,6 @@ conf = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=
 def stream(expert, boxes_and_confs):
     preds = tuple(FramePrediction(b, c) for b, c in boxes_and_confs)
     return ExpertStream(expert=expert, predictions=preds)
-
-
-class TestScoreMap:
-    def test_single_cell(self):
-        assert confidence_from_score_map(ScoreMap(np.array([[0.7]]))) == 0.7
-
-    def test_max_of_grid(self):
-        assert confidence_from_score_map([[0.1, 0.9], [0.3, 0.2]]) == 0.9
-
-    def test_constant_grid(self):
-        assert confidence_from_score_map(np.full((4, 6), 0.25)) == 0.25
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyScoreMapError):
-            confidence_from_score_map(np.empty((0, 3)))
-
-    def test_one_dimensional_rejected(self):
-        with pytest.raises(FusebenchError, match="must be 2-D"):
-            confidence_from_score_map(np.array([0.1, 0.9]))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteError):
-            ScoreMap(np.array([[0.1, float("nan")]]))
 
 
 class TestSelectExpert:
@@ -257,27 +226,3 @@ class TestTrace:
     def test_empty_trace(self):
         with pytest.raises(EmptyTraceError):
             selection_ratios(SelectionTrace.from_records(()))
-
-
-class TestLossAggregation:
-    def test_examples(self):
-        assert aggregate_expert_losses(0.3, 0.6, 0.9) == 0.6
-        assert aggregate_expert_losses(0, 0, 0) == 0.0
-        assert aggregate_expert_losses(1, 1, 1) == 1.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(NegativeLossError):
-            aggregate_expert_losses(0.1, -0.2, 0.3)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteError):
-            aggregate_expert_losses(0.1, float("inf"), 0.3)
-
-    losses = st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False)
-
-    @given(a=losses, b=losses, c=losses)
-    def test_symmetric_and_bounded(self, a, b, c):
-        v = aggregate_expert_losses(a, b, c)
-        assert math.isclose(v, aggregate_expert_losses(c, a, b), rel_tol=1e-12, abs_tol=1e-12)
-        bound = 1e-9 * max(1.0, a, b, c)
-        assert min(a, b, c) - bound <= v <= max(a, b, c) + bound

@@ -14,6 +14,7 @@ from fusebench import (
     EmptyCurveError,
     FramePrediction,
     FrameTruth,
+    FusebenchError,
     LengthMismatchError,
     MetricConfig,
     MissingSequenceResultError,
@@ -177,6 +178,11 @@ class TestSequenceScore:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             sequence_score([P(Box(0, 0, 1, 1))], [], 0.5)
+
+    def test_empty_sequence_rejected(self):
+        # a bare frame list is held to the rule of SequenceAnnotation, not scored as NaN
+        with pytest.raises(FusebenchError, match="at least one frame"):
+            sequence_score([], [], 0.5)
 
     @pytest.mark.parametrize("kind, th, pooling", [
         ("success", -0.1, "frame"), ("success", 1.5, "frame"), ("success", math.nan, "frame"),
