@@ -659,6 +659,10 @@ MALFORMED_INPUTS = {
         ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(d["root"] / "cfg.json", json.dumps(
             {"kind": "scenario", "n_sequences": 2, "n_frames": 10, "rgb": {"sigma_in": 1e307}})))],
         d["root"] / "cfg.json"),
+    "scenario tir sigma_in whose jitter scale overflows": lambda d: (
+        ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(d["root"] / "cfg.json", json.dumps(
+            {"kind": "scenario", "n_sequences": 2, "n_frames": 10, "tir": {"sigma_in": 1e307}})))],
+        d["root"] / "cfg.json"),
     # a finite scale whose draws overflow: 50 frames draw one beyond 3.1 sigma
     "scenario sigma_in whose jitter draws overflow": lambda d: (
         ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(d["root"] / "cfg.json", json.dumps(

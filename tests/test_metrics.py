@@ -184,6 +184,19 @@ class TestSequenceScore:
         with pytest.raises(FusebenchError, match="at least one frame"):
             sequence_score([], [], 0.5)
 
+    @pytest.mark.parametrize("kind", ["success", "precision"])
+    def test_bare_list_scores_as_its_annotation(self, kind):
+        gt = [P(Box(0, 0, 4, 4)), FrameTruth.absent(), P(Box(10, 10, 6, 6))]
+        preds = [FramePrediction(Box(1, 0, 4, 4)), FramePrediction.absent(), FramePrediction(Box(30, 30, 6, 6))]
+        th = 0.5 if kind == "success" else 20.0
+        assert sequence_score(gt, preds, th, kind) == sequence_score(SequenceAnnotation("s", gt), preds, th, kind)
+
+    def test_length_mismatch_names_the_sequence(self):
+        with pytest.raises(LengthMismatchError, match="sequence"):
+            sequence_score([P(Box(0, 0, 1, 1))], [], 0.5)
+        with pytest.raises(LengthMismatchError, match="seq-7"):
+            sequence_score(SequenceAnnotation("seq-7", [P(Box(0, 0, 1, 1))]), [], 0.5)
+
     @pytest.mark.parametrize("kind, th, pooling", [
         ("success", -0.1, "frame"), ("success", 1.5, "frame"), ("success", math.nan, "frame"),
         ("precision", -1.0, "frame"), ("precision", math.inf, "frame"),

@@ -35,6 +35,13 @@ def test_unknown_name_is_an_attribute_error():
     assert not hasattr(fusebench, "no_such_name")
 
 
+def test_training_side_helpers_are_not_public():
+    # a tracker computes its confidences and losses; fusebench reads confidences from files
+    removed = ("ScoreMap", "confidence_from_score_map", "aggregate_expert_losses",
+               "EmptyScoreMapError", "NegativeLossError")
+    assert [n for n in removed if hasattr(fusebench, n) or hasattr(fusion, n) or hasattr(errors, n)] == []
+
+
 def test_import_and_numpy_free_names_load_no_numpy():
     code = (
         "import sys, fusebench\n"

@@ -240,6 +240,30 @@ class TestDegradeModality:
         assert with_mask == without
 
 
+class TestJitterOverflow:
+    """A ``sigma_in`` whose jitter leaves the finite floats is a config error."""
+
+    @pytest.mark.parametrize("target", [Expert.RGB, Expert.TIR], ids=lambda e: e.name)
+    def test_overflowing_scale_rejected(self, target):
+        traj = generate_trajectory(small_cfg(n_sequences=1), seed=25)
+        profile = DegradationProfile(target=target, sigma_in=1e307)  # 1e307 * a 30-60 px size is inf
+        with pytest.raises(ConfigError, match="sigma_in"):
+            degrade_modality(traj, profile, seed=26)
+
+    def test_overflowing_draws_rejected(self):
+        traj = generate_trajectory(small_cfg(n_sequences=1, n_frames=200), seed=27)
+        sigma_in = 2.5e306
+        assert max(max(f.box.w, f.box.h) for f in traj.frames) * sigma_in < sys.float_info.max
+        with pytest.raises(ConfigError, match="sigma_in"):  # each scale is finite; its widest draws are not
+            degrade_modality(traj, DegradationProfile(target=Expert.RGB, sigma_in=sigma_in), seed=28)
+
+    def test_wide_finite_jitter_accepted(self):
+        traj = generate_trajectory(small_cfg(n_sequences=1), seed=29)
+        stream = degrade_modality(traj, DegradationProfile(target=Expert.RGB, sigma_in=1e300), seed=30)
+        coords = [v for p in stream.predictions for v in (p.box.x, p.box.y)]
+        assert all(math.isfinite(v) for v in coords) and max(map(abs, coords)) > 1e300
+
+
 class TestCalibrateConfidence:
     def test_perfect_and_disjoint(self):
         g = FrameTruth.present(Box(0, 0, 10, 10))
