@@ -37,7 +37,7 @@ def subset_manifest(manifest: DatasetManifest, tag: str | Subset) -> DatasetMani
     if tag not in ("rgb", "tir"):
         raise FusebenchError(f"unknown subset tag {tag!r}; use 'rgb' or 'tir'")
     subset = Subset(tag)
-    seqs = manifest.subset(subset)
+    seqs = tuple(s for s in manifest.sequences if s.subset is subset)
     if not seqs:
         raise EmptySubsetError(subset.value)
     return DatasetManifest(seqs, name=manifest.name)

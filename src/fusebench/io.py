@@ -31,7 +31,8 @@ Results directory
 
 Score table (CSV)
     ``benchmark,rgbt,rgb,tir`` rows, one per benchmark, with an optional
-    header row; input to the balanced-benchmark indicators.
+    header row; input to the balanced-benchmark indicators. Read by
+    :func:`fusebench.report.load_score_table`.
 
 Box files and sidecars are parsed into validated columns
 (:class:`~fusebench.model.TruthColumns`,
@@ -75,7 +76,6 @@ from .model import (
     TruthColumns,
     _check_lengths,
 )
-from .report import load_score_table
 from .simulate import (
     DegradationProfile,
     FusedQualityModel,
@@ -94,7 +94,6 @@ __all__ = [
     "load_expert_stream",
     "load_expert_streams",
     "load_config",
-    "load_score_table",
     "metric_config_from_dict",
     "scenario_config_from_dict",
     "bundled_scenario_names",

@@ -375,8 +375,8 @@ def benchmark_scores(
     For each threshold the benchmark score is the mean over sequences of
     the per-sequence score. Per-sequence scores are accumulated
     left-to-right in manifest order (plain sequential summation), so
-    results are bit-reproducible and independent of any internal
-    parallelism. Prediction lists are converted to columns once, here.
+    results are bit-reproducible. Prediction lists are converted to
+    columns once, here.
     The per-sequence scores are kept in the result, so the scores of any
     subset of sequences follow without scoring again
     (:meth:`BenchmarkScores.of_sequences`).

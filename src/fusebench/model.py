@@ -7,8 +7,7 @@ Conventions used throughout the toolkit:
 * target absence is a distinct variant (``box is None``), never an all-zero
   sentinel rectangle -- the sentinel exists only in files and is translated
   at the parser boundary (see :mod:`fusebench.io`);
-* all types are immutable after construction and safe to share across
-  concurrent evaluation workers.
+* all types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -98,14 +97,6 @@ class Box:
         if self.w < 0 or self.h < 0:
             raise NegativeExtentError(f"box extent must be non-negative, got w={self.w}, h={self.h}")
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    def center(self) -> tuple[float, float]:
-        """Center point ``(x + w/2, y + h/2)``; total for any valid box."""
-        return (self.x + self.w / 2.0, self.y + self.h / 2.0)
-
     def shifted(self, dx: float, dy: float) -> "Box":
         return Box(self.x + dx, self.y + dy, self.w, self.h)
 
@@ -157,10 +148,6 @@ class FramePrediction:
     @property
     def is_present(self) -> bool:
         return self.box is not None
-
-    @property
-    def declares_absence(self) -> bool:
-        return self.box is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,16 +331,3 @@ class DatasetManifest:
             if seq.id in seen:
                 raise DuplicateSequenceIdError(f"duplicate sequence id {seq.id!r}")
             seen.add(seq.id)
-
-    @property
-    def m(self) -> int:
-        """Number of sequences in the benchmark."""
-        return len(self.sequences)
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.sequences)
-
-    def subset(self, tag: Subset) -> tuple[SequenceAnnotation, ...]:
-        return tuple(s for s in self.sequences if s.subset is tag)
-
-

@@ -64,7 +64,6 @@ __all__ = [
     "DegradationProfile",
     "FusedQualityModel",
     "ScenarioConfig",
-    "ScenarioReport",
     "POLICIES",
     "child_seed",
     "generate_trajectory",

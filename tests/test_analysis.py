@@ -132,10 +132,10 @@ class TestCompositionalEval:
         report = compositional_eval(manifest, results, cfg)
         parts = []
         for subset in (Subset.RGB_DOMINANT, Subset.TIR_DOMINANT, Subset.UNSPECIFIED):
-            seqs = manifest.subset(subset)
+            seqs = tuple(s for s in manifest.sequences if s.subset is subset)
             scores = benchmark_scores(DatasetManifest(seqs), results, cfg)
             parts.append((len(seqs), scores.sr_curve.scores))
-        n = manifest.m
+        n = len(manifest.sequences)
         for k in range(len(cfg.success_thresholds)):
             weighted = sum(cnt * scores[k] for cnt, scores in parts) / n
             assert math.isclose(report.overall.sr_curve.scores[k], weighted, abs_tol=1e-12)

@@ -75,12 +75,19 @@ class TestSelectExpert:
         scores = {Expert.RGB: a, Expert.TIR: b, Expert.RGBT: c}
         assert all(scores[chosen] >= v for v in scores.values())
 
-    # power-of-two scaling is exact in floats, so it preserves order and tie
-    # structure bit-for-bit; generic affine maps can collapse near-ties by
-    # rounding, which would test the arithmetic rather than the selection
-    @given(a=conf, b=conf, c=conf, scale=st.sampled_from([0.25, 0.5, 2.0, 8.0]))
+    # scaling up by a power of two is exact for every drawn value, subnormals
+    # included, so it preserves order and tie structure bit-for-bit; the
+    # invariance is symmetric, so this covers scaling down too. Generic
+    # affine maps can collapse near-ties by rounding, which would test the
+    # arithmetic rather than the selection
+    @given(a=conf, b=conf, c=conf, scale=st.sampled_from([2.0, 8.0]))
     def test_argmax_invariant_under_increasing_maps(self, a, b, c, scale):
         assert select_expert(a, b, c) is select_expert(a * scale, b * scale, c * scale)
+
+    def test_scaling_down_can_round_a_subnormal_into_a_tie(self):
+        # 5e-324 * 0.25 rounds to 0.0: a three-way tie, which rgbt-first gives to rgbt
+        assert select_expert(0.0, 5e-324, 0.0) is Expert.TIR
+        assert select_expert(0.0, 5e-324 * 0.25, 0.0) is Expert.RGBT
 
 
 class TestFuseStreams:

@@ -116,7 +116,7 @@ class TestRoundTrip:
 class TestManifest:
     def test_load_with_tags(self, toy_dataset):
         man = fio.load_manifest(toy_dataset["manifest"])
-        assert man.m == 3
+        assert len(man.sequences) == 3
         assert man.sequences[0].subset is Subset.RGB_DOMINANT
         assert man.sequences[1].subset is Subset.TIR_DOMINANT
         assert man.sequences[2].subset is Subset.UNSPECIFIED

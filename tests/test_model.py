@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from fusebench import (
     Box,
+    ConfigError,
     Curve,
     DatasetManifest,
     DegradationProfile,
@@ -16,23 +13,30 @@ from fusebench import (
     FramePrediction,
     FrameTruth,
     FusebenchError,
+    IntervalOutOfBoundsError,
     LengthMismatchError,
+    MetricConfig,
     MissingConfidenceError,
     NegativeExtentError,
     NonFiniteError,
     PredictionColumns,
+    ScenarioConfig,
+    SelectionRecord,
     SelectionTrace,
     SequenceAnnotation,
     Subset,
+    TiePolicy,
     TruthColumns,
+    balanced_indicators,
     degrade_modality,
+    export_report,
     oracle_best_selection,
+    sequence_score,
     synthesize_fused_expert,
 )
+from fusebench import io as fio
+from fusebench.errors import _number
 from fusebench.model import _check_lengths
-
-finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-sizes = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
 class TestBox:
@@ -49,8 +53,7 @@ class TestBox:
 
     def test_degenerate_box_is_valid(self):
         b = Box(0, 0, 0, 0)
-        assert b.area == 0.0
-        assert b.center() == (0.0, 0.0)
+        assert b.w * b.h == 0.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
@@ -59,16 +62,6 @@ class TestBox:
         with pytest.raises(NonFiniteError):
             Box(0, 0, bad, 1)
 
-    def test_center_examples(self):
-        assert Box(0, 0, 2, 2).center() == (1.0, 1.0)
-        assert Box(3, 4, 2, 2).center() == (4.0, 5.0)
-
-    @given(x=finite, y=finite, w=sizes, h=sizes, dx=finite, dy=finite)
-    def test_center_translation_equivariance(self, x, y, w, h, dx, dy):
-        cx, cy = Box(x, y, w, h).center()
-        sx, sy = Box(x + dx, y + dy, w, h).center()
-        assert math.isclose(sx, cx + dx, rel_tol=0, abs_tol=1e-6)
-        assert math.isclose(sy, cy + dy, rel_tol=0, abs_tol=1e-6)
 
 
 class TestVariants:
@@ -84,7 +77,7 @@ class TestVariants:
 
     def test_declared_absence_carries_confidence(self):
         p = FramePrediction.absent(0.9)
-        assert p.declares_absence and p.confidence == 0.9
+        assert not p.is_present and p.confidence == 0.9
 
 
 class TestSequences:
@@ -111,8 +104,8 @@ class TestSequences:
             SequenceAnnotation(id=f"s{i}", frames=(FrameTruth.absent(),)) for i in range(3)
         )
         m = DatasetManifest(seqs)
-        assert m.m == 3
-        assert m.ids() == ("s0", "s1", "s2")
+        assert len(m.sequences) == 3
+        assert tuple(s.id for s in m.sequences) == ("s0", "s1", "s2")
 
     def test_empty_manifest_rejected(self):
         with pytest.raises(FusebenchError):
@@ -194,3 +187,47 @@ class TestLengthRule:
     def test_mismatch_rejected(self, case):
         with pytest.raises(LengthMismatchError, match=r"^[\w ]+: lengths differ: .*=3, .*=2"):
             LENGTH_MISMATCHES[case]()
+
+
+_CURVE = Curve((0.0, 1.0), (1.0, 0.5))
+
+# name -> (a call that is rejected, the exact error class, a message fragment)
+REJECTED_CALLS = {
+    "selection record winner": (lambda: SelectionRecord(
+        frame=0, chosen="rgb", confidence=0.3, cs_rgb=0.3, cs_tir=0.5, cs_rgbt=0.1),
+        FusebenchError, "is not the maximum"),
+    "selection trace index": (lambda: SelectionTrace([3], [[0.1, 0.2, 0.3]]), FusebenchError, "column indices"),
+    "tie policy": (lambda: TiePolicy.parse("rgb,tir"), ConfigError, "cannot parse tie policy"),
+    "sidecar of unscored predictions": (lambda: fio.write_confidences([FramePrediction(Box(0, 0, 1, 1))]),
+                                        FusebenchError, "have no confidence"),
+    "curve score": (lambda: Curve((0.0, 1.0), (0.5, 1.5)), ConfigError, "must lie in"),
+    "curve off-grid threshold": (lambda: _CURVE.score_at(0.5), ConfigError, "not a grid point"),
+    "sequence score kind": (lambda: sequence_score(_seq(1), [FramePrediction(Box(0, 0, 4, 4))], 0.5, kind="recall"),
+                            ConfigError, "kind must be"),
+    "sequence score pooling": (lambda: sequence_score(
+        _seq(1), [FramePrediction(Box(0, 0, 4, 4))], 0.5, pooling="mean"), ConfigError, "pooling must be"),
+    "metric config pooling": (lambda: MetricConfig(pooling="mean"), ConfigError, "pooling must be"),
+    "export format": (lambda: export_report(_CURVE, "xml"), FusebenchError, "unknown format"),
+    "export type": (lambda: export_report(42, "csv"), FusebenchError, "cannot export"),
+    "balanced indicators of no rows": (lambda: balanced_indicators([]), FusebenchError, "at least one"),
+    "box field string": (lambda: Box("1", 0, 1, 1), NonFiniteError, "must be a real number"),
+    "box field bool": (lambda: Box(True, 0, 1, 1), NonFiniteError, "must be a real number"),
+    "present frame without box": (lambda: FrameTruth.present(None), FusebenchError, "requires a box"),
+    "degradation of rgbt": (lambda: DegradationProfile(target="rgbt"), ConfigError, "single modality"),
+    "degradation interval": (lambda: DegradationProfile(intervals=[[5, 2]]), IntervalOutOfBoundsError, "bad interval"),
+    "scenario extent": (lambda: ScenarioConfig(extent=(0, 480)), ConfigError, "must be positive"),
+    "scenario objects too large": (lambda: ScenarioConfig(extent=(40, 40)), ConfigError, "must fit"),
+    "scenario rgb profile": (lambda: ScenarioConfig(rgb=DegradationProfile(target="tir")),
+                             ConfigError, "rgb profile must target"),
+    "scenario tir profile": (lambda: ScenarioConfig(tir=DegradationProfile(target="rgb")),
+                             ConfigError, "tir profile must target"),
+    "number beyond the float range": (lambda: _number("x", 10**400), ConfigError, "must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_CALLS))
+def test_rejected_call(case):
+    call, error, fragment = REJECTED_CALLS[case]
+    with pytest.raises(error, match=fragment) as err:
+        call()
+    assert type(err.value) is error

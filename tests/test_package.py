@@ -42,6 +42,20 @@ def test_training_side_helpers_are_not_public():
     assert [n for n in removed if hasattr(fusebench, n) or hasattr(fusion, n) or hasattr(errors, n)] == []
 
 
+def test_repeated_answers_are_not_public():
+    # each repeated what another public name answers: the metrics kernel's
+    # centre and area, ``not is_present``, ``len(sequences)``, ``subset_manifest``
+    from fusebench import io
+
+    removed = [(model.Box, "center"), (model.Box, "area"), (model.FramePrediction, "declares_absence"),
+               (model.DatasetManifest, "m"), (model.DatasetManifest, "ids"), (model.DatasetManifest, "subset"),
+               (io, "load_score_table")]
+    assert [n for owner, n in removed if hasattr(owner, n)] == []
+    assert "ScenarioReport" not in simulate.__all__
+    assert callable(report.load_score_table)
+    assert fusebench.ScenarioReport is metrics.ScenarioReport
+
+
 def test_import_and_numpy_free_names_load_no_numpy():
     code = (
         "import sys, fusebench\n"
