@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import io as fio
-from .__main__ import Expectation, _emit, _write_text
+from .__main__ import _emit, _write_text
 from .__main__ import main as _main
 from .analysis import _report
 from .errors import ConfigError, EmptySubsetError, _reading
@@ -18,17 +18,17 @@ from .metrics import MetricConfig, _scores_of_rows, _sequence_rows
 from .report import export_report
 from .simulate import ScenarioConfig, run_scenario
 
-__all__ = ["main", "Expectation"]
+__all__ = ["main"]
 
 
 def _metric_config(args) -> MetricConfig:
-    if getattr(args, "config", None):
+    if args.config:
         cfg = fio.load_config(args.config)
         if not isinstance(cfg, MetricConfig):
             raise ConfigError(f"{args.config} is not a metrics config")
     else:
         cfg = MetricConfig()
-    if getattr(args, "pooling", None):
+    if args.pooling:
         cfg = replace(cfg, pooling=args.pooling)
     return cfg
 
@@ -49,7 +49,7 @@ def cmd_evaluate(args) -> dict[str, float]:
         rows.append(_sequence_rows(seq, fio._load_result(seq, results), cfg))
         tags.append(seq.subset)
         lengths.append(len(seq))
-    if args.subset in ("rgb", "tir"):
+    if args.subset != "all":
         kept = [i for i, tag in enumerate(tags) if tag == args.subset]
         if not kept:
             raise EmptySubsetError(args.subset)

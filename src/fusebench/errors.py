@@ -7,6 +7,7 @@ Every error subclasses :class:`FusebenchError`, which itself subclasses
 catch a single base class.
 """
 
+import csv
 import math
 import numbers
 from contextlib import contextmanager
@@ -105,7 +106,8 @@ def _reading(where: Path | str):
     """Name ``where``, a file or a line, in the errors raised while reading
     it: the one way a data error gets its location. Toolkit errors keep
     their class and gain a ``<where>: `` prefix; any other ``ValueError``
-    (not UTF-8, not JSON, too long an integer) becomes a
+    (not UTF-8, not JSON, too long an integer), JSON nested too deeply to
+    decode or ``csv.Error`` (too long a field) becomes a
     :class:`FusebenchError`.
     """
     try:
@@ -113,7 +115,7 @@ def _reading(where: Path | str):
     except FusebenchError as exc:
         exc.args = (f"{where}: {exc}",)
         raise
-    except ValueError as exc:
+    except (ValueError, RecursionError, csv.Error) as exc:
         raise FusebenchError(f"{where}: {exc}") from None
 
 

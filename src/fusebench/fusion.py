@@ -87,14 +87,11 @@ class SelectionRecord:
                 f"frame {self.frame}: winning confidence {self.confidence} "
                 f"is not the maximum {top}"
             )
-        if self.score_of(self.chosen) != self.confidence:
+        if getattr(self, f"cs_{self.chosen.value}") != self.confidence:
             raise FusebenchError(
                 f"frame {self.frame}: chosen expert {self.chosen} does not "
                 f"attain the winning confidence"
             )
-
-    def score_of(self, expert: Expert) -> float:
-        return getattr(self, f"cs_{Expert(expert).value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,9 +150,6 @@ class SelectionTrace:
 
     def __len__(self) -> int:
         return len(self.chosen)
-
-    def count(self, expert: Expert) -> int:
-        return int(np.count_nonzero(self.chosen == EXPERTS.index(expert)))
 
 
 def select_expert(

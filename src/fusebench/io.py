@@ -94,8 +94,6 @@ __all__ = [
     "load_expert_stream",
     "load_expert_streams",
     "load_config",
-    "metric_config_from_dict",
-    "scenario_config_from_dict",
     "bundled_scenario_names",
     "bundled_scenario",
 ]
@@ -377,26 +375,11 @@ def _config(cls: type, d, where: str, **fixed):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def metric_config_from_dict(d: Mapping) -> MetricConfig:
-    """Build a MetricConfig from parsed JSON; unknown keys are rejected."""
-    return _config(MetricConfig, {k: v for k, v in d.items() if k != "kind"}, "metrics config")
-
-
-def scenario_config_from_dict(d: Mapping) -> ScenarioConfig:
-    """Build a ScenarioConfig from parsed JSON; unknown keys are rejected."""
-    d = {k: v for k, v in d.items() if k != "kind"}
-    for key in ("rgb", "tir"):
-        if key in d:
-            d[key] = _config(DegradationProfile, d[key], f"{key} degradation profile", target=Expert(key))
-    if "fused" in d:
-        d["fused"] = _config(FusedQualityModel, d["fused"], "fused quality model")
-    return _config(ScenarioConfig, d, "scenario config")
-
-
 def load_config(path: str | Path) -> MetricConfig | ScenarioConfig:
     """Load a JSON config file; ``kind`` selects metrics (default) or scenario.
 
-    An empty file yields a default MetricConfig. Errors name the file.
+    An empty file yields a default MetricConfig. Unknown keys are rejected.
+    Errors name the file.
     """
     path = Path(path)
     with _reading(path):
@@ -404,11 +387,17 @@ def load_config(path: str | Path) -> MetricConfig | ScenarioConfig:
         raw = json.loads(text) if text else {}
         if not isinstance(raw, dict):
             raise ConfigError("config must hold a JSON object")
-        kind = raw.get("kind", "metrics")
+        kind = raw.pop("kind", "metrics")
         if kind == "metrics":
-            return metric_config_from_dict(raw)
+            return _config(MetricConfig, raw, "metrics config")
         if kind == "scenario":
-            return scenario_config_from_dict(raw)
+            for key in ("rgb", "tir"):
+                if key in raw:
+                    raw[key] = _config(DegradationProfile, raw[key], f"{key} degradation profile",
+                                       target=Expert(key))
+            if "fused" in raw:
+                raw["fused"] = _config(FusedQualityModel, raw["fused"], "fused quality model")
+            return _config(ScenarioConfig, raw, "scenario config")
         raise ConfigError(f"unknown config kind {kind!r} (use 'metrics' or 'scenario')")
 
 

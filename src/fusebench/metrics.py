@@ -75,8 +75,6 @@ __all__ = [
     "sequence_score",
     "benchmark_scores",
     "auc",
-    "default_success_thresholds",
-    "default_precision_thresholds",
 ]
 
 class AbsenceOutcome(Enum):
@@ -86,12 +84,12 @@ class AbsenceOutcome(Enum):
     WRONG_PREDICTION = "wrong-prediction"
 
 
-def default_success_thresholds() -> tuple[float, ...]:
+def _default_success_thresholds() -> tuple[float, ...]:
     """21-point overlap grid from 0 to 1 in steps of 0.05."""
     return tuple(float(t) for t in np.linspace(0.0, 1.0, 21))
 
 
-def default_precision_thresholds() -> tuple[float, ...]:
+def _default_precision_thresholds() -> tuple[float, ...]:
     """51-point pixel grid from 0 to 50 in steps of 1."""
     return tuple(float(t) for t in np.linspace(0.0, 50.0, 51))
 
@@ -109,8 +107,8 @@ class MetricConfig:
     convention, with 5 px selectable for GTOT-style data.
     """
 
-    success_thresholds: tuple[float, ...] = field(default_factory=default_success_thresholds)
-    precision_thresholds: tuple[float, ...] = field(default_factory=default_precision_thresholds)
+    success_thresholds: tuple[float, ...] = field(default_factory=_default_success_thresholds)
+    precision_thresholds: tuple[float, ...] = field(default_factory=_default_precision_thresholds)
     pooling: str = "frame"
     pr_report_threshold: float = 20.0
 
@@ -198,11 +196,6 @@ def _one_row(frame: FrameTruth | FramePrediction) -> _Block:
     return _Block(np.array(rows, dtype=np.float64), np.array(present))
 
 
-def _one_frame(g: FrameTruth, p: FramePrediction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_frame_values` of a single frame pair."""
-    return _frame_values(_one_row(g), _one_row(p))
-
-
 def box_iou(a: Box, b: Box) -> float:
     """Geometric intersection-over-union of two boxes.
 
@@ -218,7 +211,7 @@ def iou(g: FrameTruth, p: FramePrediction) -> float:
 
     Correctly declared absence scores 1; any presence mismatch scores 0.
     """
-    return float(_one_frame(g, p)[0][0])
+    return float(_frame_values(_one_row(g), _one_row(p))[0][0])
 
 
 def center_distance(g: FrameTruth, p: FramePrediction) -> float | AbsenceOutcome:
@@ -229,7 +222,7 @@ def center_distance(g: FrameTruth, p: FramePrediction) -> float | AbsenceOutcome
     correctly declared, ``WRONG_PREDICTION`` otherwise). The precision
     indicator consumes these markers.
     """
-    _, distance, correct = _one_frame(g, p)
+    _, distance, correct = _frame_values(_one_row(g), _one_row(p))
     if g.is_present and p.is_present:
         return float(distance[0])
     return AbsenceOutcome.CORRECT_ABSENCE if correct[0] else AbsenceOutcome.WRONG_PREDICTION

@@ -28,6 +28,7 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
@@ -48,6 +49,7 @@ __all__ = [
     "BalancedIndicatorTable",
     "balanced_indicators",
     "export_report",
+    "load_score_table",
     "parse_report",
 ]
 
@@ -82,17 +84,8 @@ class BalancedIndicatorTable:
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
     """1-based ascending ranks; tied values share the mean of their positions."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0.0] * len(values)
-    start = 0
-    while start < len(order):
-        end = start
-        while end + 1 < len(order) and values[order[end + 1]] == values[order[start]]:
-            end += 1
-        for i in order[start : end + 1]:
-            ranks[i] = (start + end) / 2.0 + 1.0
-        start = end + 1
-    return ranks
+    ordered = sorted(values)
+    return [(bisect_left(ordered, v) + bisect_right(ordered, v) + 1) / 2 for v in values]
 
 
 def balanced_indicators(
@@ -236,7 +229,7 @@ def _parse_curve(head: dict, records: Iterable[dict]) -> Curve:
 
 
 def _eval_parts(r: EvaluationReport) -> list[tuple[str, BenchmarkScores]]:
-    return [("overall", r.overall), *((tag, r.subsets[tag]) for tag in ("rgb", "tir") if tag in r.subsets)]
+    return [("overall", r.overall), *r.subsets.items()]
 
 
 def _evaluation_records(r: EvaluationReport):
@@ -424,6 +417,8 @@ def parse_report(
             return schema.parse(head, objs)
     except json.JSONDecodeError as e:
         raise FusebenchError(f"line {at}: not json: {e.msg}") from e
+    except RecursionError as e:  # nested too deeply for the decoder
+        raise FusebenchError(f"line {at}: not json: {e}") from None
     except (KeyError, TypeError, ValueError) as e:
         detail = f"missing key {e}" if isinstance(e, KeyError) else e
         message = f"{f'line {at}' if at else 'report'}: malformed report: {detail}"

@@ -27,6 +27,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -148,14 +149,6 @@ class FusedQualityModel:
             object.__setattr__(self, name, _number(name, getattr(self, name), 0.0, high))
 
 
-def _default_rgb_profile() -> DegradationProfile:
-    return DegradationProfile(target=Expert.RGB)
-
-
-def _default_tir_profile() -> DegradationProfile:
-    return DegradationProfile(target=Expert.TIR)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full generative description of one simulation experiment."""
@@ -166,8 +159,8 @@ class ScenarioConfig:
     size_range: tuple[float, float] = (30.0, 60.0)
     motion_step_std: float = 4.0
     seed: int = 0
-    rgb: DegradationProfile = field(default_factory=_default_rgb_profile)
-    tir: DegradationProfile = field(default_factory=_default_tir_profile)
+    rgb: DegradationProfile = field(default_factory=partial(DegradationProfile, target=Expert.RGB))
+    tir: DegradationProfile = field(default_factory=partial(DegradationProfile, target=Expert.TIR))
     fused: FusedQualityModel = field(default_factory=FusedQualityModel)
 
     def __post_init__(self):

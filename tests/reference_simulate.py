@@ -91,7 +91,7 @@ def reference_run_scenario(cfg: ScenarioConfig, metric_cfg: MetricConfig | None 
 
         selected, trace = fuse_streams(rgb, tir, fused)
         for e in EXPERTS:
-            chosen_counts[e] += trace.count(e)
+            chosen_counts[e] += int((trace.chosen == EXPERTS.index(e)).sum())
         total_frames += len(trace)
 
         annotations.append(traj)

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -272,7 +273,7 @@ class TestExport:
         assert "mRank" in text
 
     def _round_trip(self, report):
-        out = export_report(report, "json-lines")
+        out = report if isinstance(report, str) else export_report(report, "json-lines")
         again = export_report(parse_report(out), "json-lines")
         assert again == out
 
@@ -285,6 +286,26 @@ class TestExport:
         self._round_trip(compositional_eval(manifest, results))
         self._round_trip(run_scenario(ScenarioConfig(n_sequences=2, n_frames=10, seed=1)))
         self._round_trip(TIED_TRACE)
+
+    def test_evaluation_parts_round_trip_in_their_order(self):
+        # the parts are written as the report holds them: tir before rgb,
+        # or a part of another name, survive a parse
+        seqs, results = [], {}
+        for i, (make, subset) in enumerate([(perfect_sequence, Subset.RGB_DOMINANT),
+                                            (hopeless_sequence, Subset.TIR_DOMINANT)]):
+            s, p = make(f"s{i}", subset)
+            seqs.append(s)
+            results[s.id] = p
+        head, *records = export_report(compositional_eval(DatasetManifest(tuple(seqs)), results),
+                                       "json-lines").splitlines()
+        parts = {}
+        for line in records:
+            parts.setdefault(json.loads(line)["part"], []).append(line)
+        assert list(parts) == ["overall", "rgb", "tir"]
+        tir_first = [head, *parts["overall"], *parts["tir"], *parts["rgb"]]
+        night = [line.replace('"part": "rgb"', '"part": "night"') for line in parts["rgb"]]
+        for lines in (tir_first, [*tir_first, *night]):
+            self._round_trip("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "json-lines", "pretty-table"])
     def test_trace_export_builds_no_selection_record(self, monkeypatch, fmt):
@@ -334,6 +355,7 @@ class TestParseReportRejectsMalformedInput:
         "curve-missing-key": ('{"type":"curve"}\n{"x":1}', "line 2: malformed report: missing key 'threshold'"),
         "balanced-missing-rgbt": (_balanced_row_without_rgbt(), "line 2: malformed report: .*'rgbt'"),
         "not-json": ("not json", "line 1: not json"),
+        "nested-too-deeply": ('{"type":"curve"}\n' + "[" * 100_000 + "]" * 100_000, "^line 2: not json: "),
         "truncated-line": ('{"type":"curve"}\n\n{"threshold": 0.0, "score": 1.0}\n{"threshold": 1.0',
                            "line 4: not json"),
         "unknown-expert": ('{"type":"selection-trace"}\n{"frame":0,"chosen":"zzz","cs_rgb":1,"cs_tir":0,"cs_rgbt":0}',

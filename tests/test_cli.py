@@ -32,7 +32,7 @@ from fusebench import (
 )
 from fusebench import cli
 from fusebench import io as fio
-from fusebench.cli import Expectation
+from fusebench.__main__ import Expectation
 
 
 def run_cli(*args, cwd=None):
@@ -556,6 +556,9 @@ def _write(path, data):
     return path
 
 
+# deeper than the json decoder's recursion limit
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 # name -> (set-up returning (argv, the file the message must name))
 MALFORMED_INPUTS = {
     "manifest is a directory": lambda d: (
@@ -611,6 +614,16 @@ MALFORMED_INPUTS = {
         ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(
             d["root"] / "cfg.json", '{"kind": "scenario", "seed": ' + "9" * 5000 + "}"))],
         d["root"] / "cfg.json"),
+    "manifest nested too deeply to decode": lambda d: (
+        ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(d["manifest"], _DEEP_JSON))],
+        d["manifest"]),
+    "metrics config nested too deeply to decode": lambda d: (
+        ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"]),
+         "--config", str(_write(d["root"] / "cfg.json", _DEEP_JSON))],
+        d["root"] / "cfg.json"),
+    "scenario config nested too deeply to decode": lambda d: (
+        ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(d["root"] / "cfg.json", _DEEP_JSON))],
+        d["root"] / "cfg.json"),
     "manifest holds a 5,000-digit number": lambda d: (
         ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
             d["manifest"], '{"name": ' + "1" * 5000 + ', "sequences": []}'))],
@@ -619,6 +632,9 @@ MALFORMED_INPUTS = {
         ["analyze", str(_write(d["root"] / "t.csv", b"benchmark,rgbt,rgb,tir\n\xff,1,2,3\n"))],
         d["root"] / "t.csv"),
     "score table is a directory": lambda d: (["analyze", str(d["gt"])], d["gt"]),
+    "score table cell past the csv field limit": lambda d: (
+        ["analyze", str(_write(d["root"] / "t.csv", "benchmark,rgbt,rgb,tir\n" + "A" * 131_073 + ",1,2,3\n"))],
+        d["root"] / "t.csv"),
     "score table bad line": lambda d: (
         ["analyze", str(_write(d["root"] / "t.csv", "benchmark,rgbt,rgb,tir\nA,1,2\n"))],
         d["root"] / "t.csv"),

@@ -56,6 +56,19 @@ def test_repeated_answers_are_not_public():
     assert fusebench.ScenarioReport is metrics.ScenarioReport
 
 
+def test_restated_answers_are_removed():
+    # each answered what another name answers: ``load_config``,
+    # ``MetricConfig()``, ``selection_ratios``, the ``cs_*`` fields and
+    # ``fusebench.__main__.Expectation``
+    from fusebench import cli, io
+
+    removed = [(io, "metric_config_from_dict"), (io, "scenario_config_from_dict"),
+               (metrics, "default_success_thresholds"), (metrics, "default_precision_thresholds"),
+               (fusion.SelectionTrace, "count"), (fusion.SelectionRecord, "score_of"), (cli, "Expectation")]
+    assert [n for owner, n in removed if hasattr(owner, n)] == []
+    assert fusebench.load_score_table is report.load_score_table
+
+
 def test_import_and_numpy_free_names_load_no_numpy():
     code = (
         "import sys, fusebench\n"

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusebench.metrics import _curves, default_precision_thresholds, default_success_thresholds
+from fusebench.metrics import MetricConfig, _curves
 from fusebench.report import POOLING_MODES
 from protocol_oracle import ref_curves
 
@@ -60,7 +60,7 @@ class TestSweepMemory:
         rng = np.random.default_rng(0)
         correct = rng.random(t) < 0.1
         values = (np.where(correct, 1.0, rng.random(t)), np.where(correct, np.nan, 60.0 * rng.random(t)), correct)
-        ths, thp = np.array(default_success_thresholds()), np.array(default_precision_thresholds())
+        ths, thp = np.array(MetricConfig().success_thresholds), np.array(MetricConfig().precision_thresholds)
         peaks = []
         for sweep in (_curves, ref_curves):
             tracemalloc.start()
