@@ -50,7 +50,6 @@ from .errors import (
     _numbers,
 )
 from .model import (
-    Box,
     DatasetManifest,
     FrameColumns,
     FramePrediction,
@@ -67,7 +66,6 @@ __all__ = [
     "Curve",
     "BenchmarkScores",
     "ScenarioReport",
-    "box_iou",
     "iou",
     "center_distance",
     "frame_success_indicator",
@@ -196,20 +194,12 @@ def _one_row(frame: FrameTruth | FramePrediction) -> _Block:
     return _Block(np.array(rows, dtype=np.float64), np.array(present))
 
 
-def box_iou(a: Box, b: Box) -> float:
-    """Geometric intersection-over-union of two boxes.
-
-    Identical boxes score exactly 1; the ratio is clamped to [0, 1] against
-    last-ulp overshoot. A union of zero area (two degenerate boxes) yields
-    0 to avoid 0/0.
-    """
-    return iou(FrameTruth(a), FramePrediction(b))
-
-
 def iou(g: FrameTruth, p: FramePrediction) -> float:
     """Overlap score totalized over all presence/absence combinations.
 
-    Correctly declared absence scores 1; any presence mismatch scores 0.
+    Two present boxes score their intersection over union, clamped to
+    [0, 1], or 0 when the union has no area. Correctly declared absence
+    scores 1; any presence mismatch scores 0.
     """
     return float(_frame_values(_one_row(g), _one_row(p))[0][0])
 

@@ -28,6 +28,7 @@ import csv
 import io
 import json
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -144,7 +145,9 @@ def load_score_table(path: str | Path) -> list[tuple[str, float, float, float]]:
     path = Path(path)
     rows: list[tuple[str, float, float, float]] = []
     with _reading(path), path.open(newline="", encoding="utf-8") as fh:
-        records = ((n, r) for n, r in enumerate(csv.reader(fh), start=1) if r and "".join(r).strip())
+        reader = csv.reader(fh)
+        starts = iter(lambda: reader.line_num + 1, None)  # read before each record: the line it starts on
+        records = ((n, r) for n, r in zip(starts, reader) if r and "".join(r).strip())
         for i, (line_no, record) in enumerate(records):
             with _reading(f"line {line_no}"):
                 if len(record) != 4:
@@ -396,7 +399,9 @@ def parse_report(
     Malformed input raises :class:`FusebenchError`, naming the line at fault
     when there is one.
     """
-    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    # only \r\n, \r and \n end a line: json holds none of them raw, but may
+    # hold U+2028 and the other breaks of ``str.splitlines`` in a string
+    lines = [(n, line) for n, line in enumerate(re.split(r"\r\n?|\n", text), 1) if line.strip()]
     at = None
 
     def objects():

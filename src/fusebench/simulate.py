@@ -43,7 +43,6 @@ from .metrics import (
     _Block,
     _curves,
     _frame_values,
-    _one_row,
     _py_max,
     _py_min,
     _scores_of_rows,
@@ -52,8 +51,6 @@ from .model import (
     Expert,
     ExpertStream,
     FrameColumns,
-    FramePrediction,
-    FrameTruth,
     PredictionColumns,
     SequenceAnnotation,
     TruthColumns,
@@ -70,7 +67,6 @@ __all__ = [
     "generate_trajectory",
     "degraded_mask",
     "degrade_modality",
-    "calibrate_confidence",
     "synthesize_fused_expert",
     "oracle_best_selection",
     "run_scenario",
@@ -225,22 +221,6 @@ def degraded_mask(profile: DegradationProfile, n_frames: int, seed) -> np.ndarra
     return _mask_block(profile, n_frames, [seed])[0]
 
 
-def calibrate_confidence(pred: FramePrediction, gt: FrameTruth, noise: float = 0.0, seed=0) -> float:
-    """Confidence = true overlap plus bounded uniform noise, clamped to [0, 1].
-
-    ``noise = 0`` gives perfect calibration. ``seed`` may be an int, a
-    ``SeedSequence`` or an existing ``Generator``.
-    """
-    noise = _number("confidence noise", noise, 0.0, sys.float_info.max / 2)
-    draw = 0.0
-    if noise > 0:
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        draw = rng.uniform(-noise, noise)
-    pred = _one_row(pred)
-    block, _ = _calibrated(_one_row(gt), pred.boxes, pred.present, noise, np.array([draw]))
-    return float(block.confidence[0])
-
-
 def _draws(
     rngs: Sequence[np.random.Generator], used: np.ndarray, normal: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
@@ -330,9 +310,8 @@ def _calibrated(
     gt: _Block, boxes: np.ndarray, present: np.ndarray, noise: float, noise_draws: np.ndarray
 ) -> tuple[_Block, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """A stream whose confidences are each frame's overlap against ``gt``
-    plus its ``Uniform(-noise, noise)`` draw, clamped to [0, 1] (the rule
-    of :func:`calibrate_confidence`), and the stream's
-    :func:`_frame_values` against ``gt``."""
+    plus its ``Uniform(-noise, noise)`` draw, clamped to [0, 1], and the
+    stream's :func:`_frame_values` against ``gt``."""
     values = _frame_values(gt, _Block(boxes, present))
     c = values[0] + noise_draws if noise > 0 else values[0]
     return _Block(boxes, present, _py_min(1.0, _py_max(0.0, c))), values
@@ -403,7 +382,6 @@ def degrade_modality(
     profile: DegradationProfile,
     seed,
     extent: tuple[float, float] = (640.0, 480.0),
-    mask: np.ndarray | None = None,
 ) -> ExpertStream:
     """Expert stream for one modality under a degradation profile.
 
@@ -417,25 +395,17 @@ def degrade_modality(
     * drifting-box: a random walk wandering away from the last informative
       prediction (step scale 0.15 of the mean box side).
 
-    Confidences are :func:`calibrate_confidence` of each prediction. Per
+    Each confidence is the prediction's overlap plus
+    ``Uniform(-confidence_noise, confidence_noise)``, clamped to [0, 1]. Per
     frame, in frame order, the stream draws: the x then y jitter
     (informative frames with a present target, when ``sigma_in > 0``) or
     the x then y drift step (degraded drifting-box frames); the x then y
     position (degraded uniform-random-box frames); then the confidence
-    noise (every frame, when ``confidence_noise > 0``).
-
-    ``mask`` may be supplied to reuse a precomputed degraded-frame mask;
-    when omitted it is derived from the seed exactly as
-    ``degraded_mask(profile, len(gt), child_seed(seed, 0))``.
+    noise (every frame, when ``confidence_noise > 0``). The degraded frames
+    are ``degraded_mask(profile, len(gt), child_seed(seed, 0))``.
     """
-    n = len(gt)
-    if mask is None:
-        mask = degraded_mask(profile, n, child_seed(seed, 0))
-    else:
-        _check_lengths("degraded mask", groundtruth=n, mask=len(mask))
-        _mask_block(profile, n, (), 0)  # a given mask still needs intervals that fit the sequence
+    mask = _mask_block(profile, len(gt), [child_seed(seed, 0)])
     rng = np.random.default_rng(child_seed(seed, 1))
-    mask = np.asarray(mask, dtype=bool)[None]
     return _stream(profile.target, _degrade_block(_row(gt.frames), mask, profile, extent, [rng])[0])
 
 

@@ -82,8 +82,8 @@ def reference_run_scenario(cfg: ScenarioConfig, metric_cfg: MetricConfig | None 
         tir_seed = child_seed(cfg.seed, i, 2)
         rgb_mask = degraded_mask(cfg.rgb, cfg.n_frames, child_seed(rgb_seed, 0))
         tir_mask = degraded_mask(cfg.tir, cfg.n_frames, child_seed(tir_seed, 0))
-        rgb = degrade_modality(traj, cfg.rgb, rgb_seed, extent=cfg.extent, mask=rgb_mask)
-        tir = degrade_modality(traj, cfg.tir, tir_seed, extent=cfg.extent, mask=tir_mask)
+        rgb = degrade_modality(traj, cfg.rgb, rgb_seed, extent=cfg.extent)
+        tir = degrade_modality(traj, cfg.tir, tir_seed, extent=cfg.extent)
         fused = synthesize_fused_expert(
             rgb, tir, traj, cfg.fused, child_seed(cfg.seed, i, 3),
             rgb_degraded=rgb_mask, tir_degraded=tir_mask,

@@ -161,8 +161,8 @@ def test_criterion_05_calibrated_selection_optimality():
         traj = generate_trajectory(cfg, child_seed(k, 0), sequence_id=f"s{k}")
         rgb_mask = degraded_mask(cfg.rgb, n_frames, child_seed(child_seed(k, 1), 0))
         tir_mask = degraded_mask(cfg.tir, n_frames, child_seed(child_seed(k, 2), 0))
-        rgb = degrade_modality(traj, cfg.rgb, child_seed(k, 1), extent=cfg.extent, mask=rgb_mask)
-        tir = degrade_modality(traj, cfg.tir, child_seed(k, 2), extent=cfg.extent, mask=tir_mask)
+        rgb = degrade_modality(traj, cfg.rgb, child_seed(k, 1), extent=cfg.extent)
+        tir = degrade_modality(traj, cfg.tir, child_seed(k, 2), extent=cfg.extent)
         fused = synthesize_fused_expert(
             rgb, tir, traj, cfg.fused, child_seed(k, 3), rgb_degraded=rgb_mask, tir_degraded=tir_mask
         )

@@ -287,6 +287,18 @@ class TestExport:
         self._round_trip(run_scenario(ScenarioConfig(n_sequences=2, n_frames=10, seed=1)))
         self._round_trip(TIED_TRACE)
 
+    @pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+    def test_names_holding_a_unicode_line_break_round_trip(self, brk):
+        # written raw, not escaped; only \r\n, \r and \n end a json-lines line
+        self._round_trip(balanced_indicators([(f"A{brk}B", 80, 70, 60), ("C", 70, 60, 50)]))
+        rng = np.random.default_rng(3)
+        manifest, results = random_benchmark(rng, n_sequences=4, max_frames=10)
+        self._round_trip(compositional_eval(manifest, results, tracker=f"t{brk}1"))
+
+    def test_crlf_report_parses(self):
+        out = export_report(balanced_indicators(PR_TABLE, metric="PR"), "json-lines")
+        assert export_report(parse_report(out.replace("\n", "\r\n")), "json-lines") == out
+
     def test_evaluation_parts_round_trip_in_their_order(self):
         # the parts are written as the report holds them: tir before rgb,
         # or a part of another name, survive a parse

@@ -452,6 +452,18 @@ class TestAnalyze:
             f"error: {path}: line 3: {label} score must be positive, got {value}"
         ]
 
+    @pytest.mark.parametrize("text,line", [
+        ('benchmark,rgbt,rgb,tir\n"A\nB",1,2,3\nB,1,x,3\n', 4),  # after a name quoted over two lines
+        ('benchmark,rgbt,rgb,tir\n"A\nB",1,x,3\n', 2),  # the line a quoted record starts on
+        ("\nbenchmark,rgbt,rgb,tir\n\nA,1,2,3\n\nB,1,x,3\n", 6),  # blank lines count
+    ], ids=["after-two-line-name", "two-line-record", "blank-lines"])
+    def test_error_names_the_physical_line(self, tmp_path, text, line):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        proc = run_cli("analyze", str(path))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {path}: line {line}: scores must be numbers"]
+
     def test_headerless_input(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("GTOT,92.9,84.9,64.3\n")

@@ -145,8 +145,8 @@ def stream_outputs() -> dict[str, str]:
     rgb_seed, tir_seed = child_seed(41, 1), child_seed(41, 2)
     rgb_mask = degraded_mask(rgb_profile, len(gt), child_seed(rgb_seed, 0))
     tir_mask = degraded_mask(tir_profile, len(gt), child_seed(tir_seed, 0))
-    rgb = degrade_modality(gt, rgb_profile, rgb_seed, extent, mask=rgb_mask)
-    tir = degrade_modality(gt, tir_profile, tir_seed, extent, mask=tir_mask)
+    rgb = degrade_modality(gt, rgb_profile, rgb_seed, extent)
+    tir = degrade_modality(gt, tir_profile, tir_seed, extent)
     models = {
         "default": FusedQualityModel(),
         "noise": FusedQualityModel(informative_weight=0.7, boost=0.2, confidence_noise=0.25),

@@ -22,7 +22,6 @@ from fusebench import (
     SequenceAnnotation,
     auc,
     benchmark_scores,
-    box_iou,
     center_distance,
     frame_precision_indicator,
     frame_success_indicator,
@@ -39,6 +38,12 @@ from protocol_oracle import (
 )
 
 P = FrameTruth.present
+
+
+def box_iou(a: Box, b: Box) -> float:
+    return iou(P(a), FramePrediction(b))
+
+
 box = st.builds(
     Box,
     st.floats(-500, 500),

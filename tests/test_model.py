@@ -28,7 +28,6 @@ from fusebench import (
     TiePolicy,
     TruthColumns,
     balanced_indicators,
-    degrade_modality,
     export_report,
     oracle_best_selection,
     sequence_score,
@@ -171,8 +170,6 @@ LENGTH_MISMATCHES = {
         _stream(Expert.RGB, 3), _stream(Expert.TIR, 3), _seq(3), tir_degraded=[False, True]),
     "oracle selection": lambda: oracle_best_selection(
         _stream(Expert.RGB, 3), _stream(Expert.TIR, 3), _stream(Expert.RGBT, 2), _seq(3)),
-    "degraded mask": lambda: degrade_modality(
-        _seq(3), DegradationProfile(target=Expert.RGB), seed=0, mask=np.zeros(2, dtype=bool)),
 }
 
 

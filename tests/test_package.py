@@ -69,6 +69,16 @@ def test_restated_answers_are_removed():
     assert fusebench.load_score_table is report.load_score_table
 
 
+def test_restated_entry_points_are_removed():
+    # ``iou`` and ``degrade_modality`` answer them: the overlap of two
+    # present frames, the simulated confidence rule and the derived mask
+    import inspect
+
+    removed = ("box_iou", "calibrate_confidence")
+    assert [n for n in removed for owner in (fusebench, metrics, simulate) if hasattr(owner, n)] == []
+    assert "mask" not in inspect.signature(simulate.degrade_modality).parameters
+
+
 def test_import_and_numpy_free_names_load_no_numpy():
     code = (
         "import sys, fusebench\n"

@@ -16,14 +16,12 @@ from fusebench import (
     Expert,
     ExpertStream,
     FramePrediction,
-    FrameTruth,
     FusedQualityModel,
     IntervalOutOfBoundsError,
     MetricConfig,
     POLICIES,
     ScenarioConfig,
     benchmark_scores,
-    calibrate_confidence,
     child_seed,
     degrade_modality,
     degraded_mask,
@@ -224,20 +222,30 @@ class TestDegradeModality:
         for i in range(10, 20):
             assert stream.predictions[i].box == frozen
 
-    def test_given_mask_still_checks_the_intervals(self):
-        traj = generate_trajectory(small_cfg(), seed=23)
-        profile = DegradationProfile(target=Expert.RGB, intervals=((10, 40),))
-        with pytest.raises(IntervalOutOfBoundsError):
-            degrade_modality(traj, profile, seed=24, mask=np.zeros(len(traj), dtype=bool))
-
-    def test_external_mask_matches_internal_derivation(self):
-        traj = generate_trajectory(small_cfg(), seed=22)
-        profile = DegradationProfile(target=Expert.RGB, fraction=0.4)
+    @pytest.mark.parametrize("noise", [0.0, 0.1, 2.0])
+    def test_confidence_is_overlap_plus_draw_clamped(self, noise):
+        # replays README's draw order with numpy's own uniform draws and
+        # checks the rule against the flat protocol oracle
+        cfg = small_cfg(n_sequences=1, n_frames=300, extent=(120.0, 100.0), size_range=(30.0, 40.0))
+        traj = generate_trajectory(cfg, seed=22)
+        profile = DegradationProfile(
+            target=Expert.RGB, fraction=1.0, behavior="uniform-random-box", sigma_in=0.0, confidence_noise=noise
+        )
         seed = child_seed(77, 3, 1)
-        mask = degraded_mask(profile, len(traj), child_seed(seed, 0))
-        with_mask = degrade_modality(traj, profile, seed, mask=mask)
-        without = degrade_modality(traj, profile, seed)
-        assert with_mask == without
+        stream = degrade_modality(traj, profile, seed, extent=cfg.extent)
+        rng = np.random.default_rng(child_seed(seed, 1))
+        overlaps = []
+        for g, p in zip(traj.frames, stream.predictions):
+            assert g.box is not None
+            w, h = g.box.w, g.box.h
+            x, y = rng.uniform(0, cfg.extent[0] - w), rng.uniform(0, cfg.extent[1] - h)
+            u = rng.uniform(-noise, noise) if noise > 0 else 0.0
+            assert p.box == Box(x, y, w, h)
+            overlaps.append(ref_overlap_value(g, p))
+            assert p.confidence == min(1.0, max(0.0, overlaps[-1] + u))
+        assert max(overlaps) > 0.0
+        if noise == 2.0:
+            assert {0.0, 1.0} <= {p.confidence for p in stream.predictions}
 
 
 class TestJitterOverflow:
@@ -262,38 +270,6 @@ class TestJitterOverflow:
         stream = degrade_modality(traj, DegradationProfile(target=Expert.RGB, sigma_in=1e300), seed=30)
         coords = [v for p in stream.predictions for v in (p.box.x, p.box.y)]
         assert all(math.isfinite(v) for v in coords) and max(map(abs, coords)) > 1e300
-
-
-class TestCalibrateConfidence:
-    def test_perfect_and_disjoint(self):
-        g = FrameTruth.present(Box(0, 0, 10, 10))
-        assert calibrate_confidence(FramePrediction(Box(0, 0, 10, 10)), g) == 1.0
-        assert calibrate_confidence(FramePrediction(Box(50, 50, 10, 10)), g) == 0.0
-
-    def test_noise_bounded_and_clamped(self):
-        g = FrameTruth.present(Box(0, 0, 10, 10))
-        p = FramePrediction(Box(2, 0, 10, 10))
-        base = iou(g, p)
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            c = calibrate_confidence(p, g, 0.1, rng)
-            assert 0.0 <= c <= 1.0
-            assert abs(c - base) <= 0.1 + 1e-12
-
-    @pytest.mark.parametrize("noise", [0.0, 0.1, 2.0])
-    def test_equals_overlap_plus_draw_clamped(self, noise):
-        g = FrameTruth.present(Box(0, 0, 10, 10))
-        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        for dx in range(-12, 13):
-            p = FramePrediction(Box(dx / 2, 1, 10, 10))
-            want = ref_overlap_value(g, p) + (ref_rng.uniform(-noise, noise) if noise else 0.0)
-            assert calibrate_confidence(p, g, noise, rng) == min(1.0, max(0.0, want))
-
-    @pytest.mark.parametrize("noise", [-0.1, math.inf, math.nan, True])
-    def test_bad_noise_rejected(self, noise):
-        g = FrameTruth.present(Box(0, 0, 10, 10))
-        with pytest.raises(ConfigError, match="confidence noise"):
-            calibrate_confidence(FramePrediction(Box(0, 0, 10, 10)), g, noise)
 
 
 def test_scenario_report_resolves_from_every_module():
@@ -533,9 +509,7 @@ class TestWidestNoise:
     @pytest.mark.parametrize("build", [
         lambda noise: DegradationProfile(confidence_noise=noise),
         lambda noise: FusedQualityModel(confidence_noise=noise),
-        lambda noise: calibrate_confidence(
-            FramePrediction(Box(0, 0, 10, 10)), FrameTruth.present(Box(0, 0, 10, 10)), noise, 3),
-    ], ids=["profile", "fused-model", "calibrate"])
+    ], ids=["profile", "fused-model"])
     def test_noise_whose_range_overflows_rejected(self, build):
         build(self.WIDEST)
         with pytest.raises(ConfigError, match="confidence.noise"):
