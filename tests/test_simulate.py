@@ -222,6 +222,12 @@ class TestDegradeModality:
         for i in range(10, 20):
             assert stream.predictions[i].box == frozen
 
+    def test_interval_past_the_sequence_rejected(self):
+        traj = generate_trajectory(small_cfg(), seed=23)
+        profile = DegradationProfile(target=Expert.RGB, intervals=((10, 40),))
+        with pytest.raises(IntervalOutOfBoundsError, match=r"interval \[10, 40\) exceeds sequence length 30"):
+            degrade_modality(traj, profile, seed=24)
+
     @pytest.mark.parametrize("noise", [0.0, 0.1, 2.0])
     def test_confidence_is_overlap_plus_draw_clamped(self, noise):
         # replays README's draw order with numpy's own uniform draws and
@@ -501,8 +507,8 @@ class TestDrawsReference:
 
 
 class TestWidestNoise:
-    """A confidence noise is at most half the largest float, so that its
-    range, twice the noise, is finite."""
+    """A confidence noise is a number from 0 to half the largest float, so
+    that its range, twice the noise, is finite."""
 
     WIDEST = sys.float_info.max / 2
 
@@ -514,6 +520,12 @@ class TestWidestNoise:
         build(self.WIDEST)
         with pytest.raises(ConfigError, match="confidence.noise"):
             build(math.nextafter(self.WIDEST, math.inf))
+
+    @pytest.mark.parametrize("build", [DegradationProfile, FusedQualityModel], ids=["profile", "fused-model"])
+    @pytest.mark.parametrize("noise", [-0.1, math.inf, math.nan, True])
+    def test_bad_noise_rejected(self, build, noise):
+        with pytest.raises(ConfigError, match="confidence_noise"):
+            build(confidence_noise=noise)
 
     def test_widest_draws_equal_one_draw_at_a_time(self):
         # uniform draws over the widest noise range, and normal draws
