@@ -1,6 +1,6 @@
 """Exception types raised across the toolkit, and the boundary rules that
-raise them: :func:`_reading` names where a data error happened and
-:func:`_number` checks a config number.
+raise them: :func:`_reading` adds every file and line location to the
+error of a data file, and :func:`_number` checks a config number.
 
 Every error subclasses :class:`FusebenchError`, which itself subclasses
 ``ValueError`` so callers that do not care about the fine-grained kind can
@@ -24,14 +24,7 @@ class NonFiniteError(FusebenchError):
 
 
 class NegativeExtentError(FusebenchError):
-    """A rectangle was given a negative width or height.
-
-    Carries ``line`` (1-based) when raised by a file parser.
-    """
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
+    """A rectangle was given a negative width or height."""
 
 
 class LengthMismatchError(FusebenchError):
@@ -53,17 +46,9 @@ class EmptyCurveError(FusebenchError):
 class MissingSequenceResultError(FusebenchError):
     """An evaluation was requested for a sequence with no predictions."""
 
-    def __init__(self, sequence_id: str):
-        super().__init__(f"no results for sequence {sequence_id!r}")
-        self.sequence_id = sequence_id
-
 
 class MalformedLineError(FusebenchError):
     """A text file line does not match the declared grammar."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class DuplicateSequenceIdError(FusebenchError):
@@ -77,17 +62,12 @@ class ConfigError(FusebenchError):
 class UnknownKeyError(ConfigError):
     """A configuration or manifest file contains an undeclared key."""
 
-    def __init__(self, key: str, where: str = "config"):
-        super().__init__(f"unknown key {key!r} in {where}")
-        self.key = key
-
 
 class EmptySubsetError(FusebenchError):
     """A requested evaluation subset contains no sequences."""
 
     def __init__(self, tag: str):
         super().__init__(f"subset {tag!r} contains no sequences")
-        self.tag = tag
 
 
 class NonPositiveScoreError(FusebenchError):
@@ -104,11 +84,11 @@ __all__ = [n for n, v in list(globals().items()) if isinstance(v, type) and issu
 @contextmanager
 def _reading(where: Path | str):
     """Name ``where``, a file or a line, in the errors raised while reading
-    it: the one way a data error gets its location. Toolkit errors keep
-    their class and gain a ``<where>: `` prefix; any other ``ValueError``
-    (not UTF-8, not JSON, too long an integer), JSON nested too deeply to
-    decode or ``csv.Error`` (too long a field) becomes a
-    :class:`FusebenchError`.
+    it: the only code that adds a file or line location to such an error.
+    Toolkit errors keep their class and gain a ``<where>: `` prefix; any
+    other ``ValueError`` (not UTF-8, not JSON, too long an integer), JSON
+    nested too deeply to decode or ``csv.Error`` (too long a field) becomes
+    a :class:`FusebenchError`.
     """
     try:
         yield

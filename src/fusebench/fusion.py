@@ -190,14 +190,18 @@ def _select_by_score(
     frame.
     """
     chosen = _tie_argmax(scores, tie)
-    frames = np.arange(len(chosen))
     preds = [s.predictions for s in streams]
     picked = PredictionColumns(
-        np.stack([p.boxes for p in preds])[chosen, frames],
-        np.stack([p.present for p in preds])[chosen, frames],
-        np.stack([p.confidence for p in preds])[chosen, frames],
+        _pick(chosen, [p.boxes for p in preds]),
+        _pick(chosen, [p.present for p in preds]),
+        _pick(chosen, [p.confidence for p in preds]),
     )
     return chosen, picked
+
+
+def _pick(chosen: np.ndarray, arrays) -> np.ndarray:
+    """Per frame, the entry of ``arrays[chosen]``; ``arrays`` follow :data:`EXPERTS`."""
+    return np.stack(arrays)[(chosen, *np.indices(chosen.shape))]
 
 
 def fuse_streams(

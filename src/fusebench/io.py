@@ -103,43 +103,47 @@ __all__ = [
 # the string-to-double ``float`` uses, but accepts less (``1_0``, ``٤``).
 # The line checks below define the format. The bulk rows are used only where
 # they provably equal the line parse; every other file is parsed line by
-# line, which raises the first bad line's error with its line number.
+# line, which raises the first bad line's error, numbered by ``_reading``.
 
 
-def _check_box_line(line: str, line_no: int) -> list[float]:
+def _check_box_line(line: str) -> list[float]:
     parts = line.replace(",", " ").split()
     if len(parts) != 4:
-        raise MalformedLineError(f"expected 4 fields, got {len(parts)}", line_no)
+        raise MalformedLineError(f"expected 4 fields, got {len(parts)}")
     values = []
     for p in parts:
         try:
             v = float(p)
         except ValueError:
-            raise MalformedLineError(f"not a number: {p!r}", line_no) from None
+            raise MalformedLineError(f"not a number: {p!r}") from None
         if not math.isfinite(v):
-            raise MalformedLineError(f"non-finite value: {p!r}", line_no)
+            raise MalformedLineError(f"non-finite value: {p!r}")
         values.append(v)
     w, h = values[2:]
     if w < 0 or h < 0:
-        raise NegativeExtentError(f"line {line_no}: negative extent w={w}, h={h}", line_no)
+        raise NegativeExtentError(f"negative extent w={w}, h={h}")
     return values
 
 
-def _check_confidence_line(line: str, line_no: int) -> float:
+def _check_confidence_line(line: str) -> float:
     field = line.strip()
     try:
         v = float(field)
     except ValueError:
-        raise MalformedLineError(f"not a number: {field!r}", line_no) from None
+        raise MalformedLineError(f"not a number: {field!r}") from None
     if not math.isfinite(v):
-        raise MalformedLineError(f"non-finite confidence: {field!r}", line_no)
+        raise MalformedLineError(f"non-finite confidence: {field!r}")
     return v
 
 
 def _line_rows(text: str, check_line, width: int) -> np.ndarray:
     """The reference parse: ``(n, width)`` rows of ``check_line`` on each
     non-blank line of ``text``, or the error of the first bad line."""
-    rows = [check_line(line, n) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    rows = []
+    for n, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            with _reading(f"line {n}"):
+                rows.append(check_line(line))
     return np.array(rows, dtype=np.float64).reshape(-1, width)
 
 
@@ -254,7 +258,7 @@ def write_confidences(preds: Sequence[FramePrediction]) -> str:
 def _check_keys(d: Mapping, allowed: set[str], where: str) -> None:
     for k in d:
         if k not in allowed:
-            raise UnknownKeyError(k, where)
+            raise UnknownKeyError(f"unknown key {k!r} in {where}")
 
 
 def _check_id(sid: str) -> None:

@@ -368,7 +368,7 @@ def benchmark_scores(
     rows = []
     for seq in manifest.sequences:
         if seq.id not in results:
-            raise MissingSequenceResultError(seq.id)
+            raise MissingSequenceResultError(f"no results for sequence {seq.id!r}")
         rows.append(_sequence_rows(seq, results[seq.id], cfg))
     return _scores_of_rows(*zip(*rows), cfg)
 

@@ -146,14 +146,18 @@ def load_score_table(path: str | Path) -> list[tuple[str, float, float, float]]:
     rows: list[tuple[str, float, float, float]] = []
     with _reading(path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        starts = iter(lambda: reader.line_num + 1, None)  # read before each record: the line it starts on
-        records = ((n, r) for n, r in zip(starts, reader) if r and "".join(r).strip())
-        for i, (line_no, record) in enumerate(records):
-            with _reading(f"line {line_no}"):
+        first = True  # the first non-blank row may be the header
+        while True:
+            with _reading(f"line {reader.line_num + 1}"):  # the line the next record starts on
+                if (record := next(reader, None)) is None:
+                    break
+                if not "".join(record).strip():
+                    continue
                 if len(record) != 4:
                     raise FusebenchError(f"expected 4 columns, got {len(record)}")
                 name, *scores = [c.strip() for c in record]
-                if i == 0 and not _is_number(scores[0]):  # the first non-blank row may be the header
+                header, first = first and not _is_number(scores[0]), False
+                if header:
                     if [name.lower(), *[s.lower() for s in scores]] != _SCORE_TABLE_HEADER:
                         raise FusebenchError(f"header must be {','.join(_SCORE_TABLE_HEADER)}")
                     continue

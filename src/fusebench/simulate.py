@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, IntervalOutOfBoundsError, _number, _numbers
-from .fusion import DEFAULT_TIE_POLICY, EXPERTS, TiePolicy, _select_by_score, _tie_argmax
+from .fusion import DEFAULT_TIE_POLICY, EXPERTS, TiePolicy, _pick, _select_by_score, _tie_argmax
 # unused here; the benchmark's tracer self-test (bench/test_bench.py) checks
 # that it finds and wraps a function under a name another module imported
 from .fusion import fuse_streams  # noqa: F401
@@ -534,7 +534,7 @@ def _scenario_block(
     best = _tie_argmax(np.stack(values[0], axis=-1), DEFAULT_TIE_POLICY)
 
     def picked(chosen: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple(np.choose(chosen, v) for v in values)
+        return tuple(_pick(chosen, v) for v in values)
 
     policy_values = {
         "selection": picked(selected),

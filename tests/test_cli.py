@@ -404,6 +404,10 @@ class TestSimulate:
         assert not (tmp_path / "o").exists()
 
 
+# a score table whose third line holds a cell past the csv field limit (131072)
+_OVERSIZED_CELL_TABLE = "benchmark,rgbt,rgb,tir\nok,3,2,1\n" + "A" * 200_000 + ",1,2,3\n"
+
+
 class TestAnalyze:
     TABLE = "benchmark,rgbt,rgb,tir\nGTOT,92.9,84.9,64.3\nMV-RGBT,65.3,44.0,39.7\n"
 
@@ -452,17 +456,22 @@ class TestAnalyze:
             f"error: {path}: line 3: {label} score must be positive, got {value}"
         ]
 
-    @pytest.mark.parametrize("text,line", [
-        ('benchmark,rgbt,rgb,tir\n"A\nB",1,2,3\nB,1,x,3\n', 4),  # after a name quoted over two lines
-        ('benchmark,rgbt,rgb,tir\n"A\nB",1,x,3\n', 2),  # the line a quoted record starts on
-        ("\nbenchmark,rgbt,rgb,tir\n\nA,1,2,3\n\nB,1,x,3\n", 6),  # blank lines count
-    ], ids=["after-two-line-name", "two-line-record", "blank-lines"])
-    def test_error_names_the_physical_line(self, tmp_path, text, line):
+    @pytest.mark.parametrize("text,error", [
+        # after a name quoted over two lines
+        ('benchmark,rgbt,rgb,tir\n"A\nB",1,2,3\nB,1,x,3\n', "line 4: scores must be numbers"),
+        # the line a quoted record starts on
+        ('benchmark,rgbt,rgb,tir\n"A\nB",1,x,3\n', "line 2: scores must be numbers"),
+        # blank lines count
+        ("\nbenchmark,rgbt,rgb,tir\n\nA,1,2,3\n\nB,1,x,3\n", "line 6: scores must be numbers"),
+        # a cell the csv reader refuses to read
+        (_OVERSIZED_CELL_TABLE, "line 3: field larger than field limit (131072)"),
+    ], ids=["after-two-line-name", "two-line-record", "blank-lines", "oversized-cell"])
+    def test_error_names_the_physical_line(self, tmp_path, text, error):
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode())
         proc = run_cli("analyze", str(path))
         assert proc.returncode == 3, proc.stderr
-        assert proc.stderr.splitlines() == [f"error: {path}: line {line}: scores must be numbers"]
+        assert proc.stderr.splitlines() == [f"error: {path}: {error}"]
 
     def test_headerless_input(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -571,7 +580,7 @@ def _write(path, data):
 # deeper than the json decoder's recursion limit
 _DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
-# name -> (set-up returning (argv, the file the message must name))
+# name -> (set-up returning (argv, the file the message must name[, the line it must name]))
 MALFORMED_INPUTS = {
     "manifest is a directory": lambda d: (
         ["evaluate", "--manifest", str(d["gt"]), "--results", str(d["results"])], d["gt"]),
@@ -647,6 +656,8 @@ MALFORMED_INPUTS = {
     "score table cell past the csv field limit": lambda d: (
         ["analyze", str(_write(d["root"] / "t.csv", "benchmark,rgbt,rgb,tir\n" + "A" * 131_073 + ",1,2,3\n"))],
         d["root"] / "t.csv"),
+    "score table cell past the csv field limit on a later line": lambda d: (
+        ["analyze", str(_write(d["root"] / "t.csv", _OVERSIZED_CELL_TABLE))], d["root"] / "t.csv", "line 3"),
     "score table bad line": lambda d: (
         ["analyze", str(_write(d["root"] / "t.csv", "benchmark,rgbt,rgb,tir\nA,1,2\n"))],
         d["root"] / "t.csv"),
@@ -711,12 +722,13 @@ def _empty_stream(root):
 class TestMalformedInputExitsThree:
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     def test_one_line_error_naming_the_file(self, toy_dataset, case):
-        argv, named = MALFORMED_INPUTS[case](toy_dataset)
+        argv, named, *line = MALFORMED_INPUTS[case](toy_dataset)
         proc = run_cli(*argv)
         assert proc.returncode == 3, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert named.name in lines[0], proc.stderr
+        assert all(f"{named.name}: {at}: " in lines[0] for at in line), proc.stderr
 
     @pytest.mark.parametrize("config", [
         {"seed": -4}, {"seed": 1.5}, {"n_sequences": 2.5}, {"n_frames": True},

@@ -69,6 +69,17 @@ def test_restated_answers_are_removed():
     assert fusebench.load_score_table is report.load_score_table
 
 
+def test_error_fields_nobody_reads_are_removed():
+    # the line is in the message, which ``_reading`` prefixes; the sequence
+    # id, key and tag are in the message too
+    made = [errors.MalformedLineError("m"), errors.NegativeExtentError("m"),
+            errors.MissingSequenceResultError("m"), errors.UnknownKeyError("m")]
+    assert [e.args for e in made] == [("m",)] * 4
+    removed = [(made[0], "line"), (made[1], "line"), (made[2], "sequence_id"), (made[3], "key"),
+               (errors.EmptySubsetError("rgb"), "tag")]
+    assert [n for owner, n in removed if hasattr(owner, n)] == []
+
+
 def test_restated_entry_points_are_removed():
     # ``iou`` and ``degrade_modality`` answer them: the overlap of two
     # present frames, the simulated confidence rule and the derived mask
