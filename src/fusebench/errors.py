@@ -1,6 +1,7 @@
 """Exception types raised across the toolkit, and the boundary rules that
-raise them: :func:`_reading` adds every file and line location to the
-error of a data file, and :func:`_number` checks a config number.
+raise them: :func:`_lines` is the one rule for what ends a line of text
+input, :func:`_reading` adds every file and line location to the error of
+a data file, and :func:`_number` checks a config number.
 
 Every error subclasses :class:`FusebenchError`, which itself subclasses
 ``ValueError`` so callers that do not care about the fine-grained kind can
@@ -79,6 +80,16 @@ class IntervalOutOfBoundsError(FusebenchError):
 
 
 __all__ = [n for n, v in list(globals().items()) if isinstance(v, type) and issubclass(v, FusebenchError)]
+
+
+def _lines(text: str) -> list[str]:
+    r"""The lines of ``text``, the ones ``line N`` locations number: only
+    ``\r\n``, ``\r`` and ``\n`` end a line, so ``\f``, U+2028 and the other
+    breaks of ``str.splitlines`` are whitespace inside one. As with
+    ``splitlines``, no line starts after a final break."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removesuffix("\n").split("\n") if text else []
 
 
 @contextmanager

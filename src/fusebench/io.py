@@ -4,10 +4,11 @@ Formats
 -------
 Groundtruth / prediction files
     One frame per line, four real numbers ``x y w h`` separated by commas,
-    spaces or tabs (mixes allowed). Blank lines are ignored. An all-zero
-    row means the target is absent (groundtruth) or absence is declared
-    (predictions). Values are taken verbatim; no 0- vs 1-indexing
-    correction is applied.
+    spaces or tabs (mixes allowed). A line ends only at CR LF, CR or LF, so
+    U+2028 and the other Unicode breaks are whitespace inside it. Blank
+    lines are ignored. An all-zero row means the target is absent
+    (groundtruth) or absence is declared (predictions). Values are taken
+    verbatim; no 0- vs 1-indexing correction is applied.
 
 Confidence sidecars
     One real number per line, same length as the prediction file it
@@ -59,6 +60,7 @@ from .errors import (
     MalformedLineError,
     NegativeExtentError,
     UnknownKeyError,
+    _lines,
     _reading,
 )
 from .fusion import EXPERTS
@@ -140,7 +142,7 @@ def _line_rows(text: str, check_line, width: int) -> np.ndarray:
     """The reference parse: ``(n, width)`` rows of ``check_line`` on each
     non-blank line of ``text``, or the error of the first bad line."""
     rows = []
-    for n, line in enumerate(text.splitlines(), start=1):
+    for n, line in enumerate(_lines(text), start=1):
         if line.strip():
             with _reading(f"line {n}"):
                 rows.append(check_line(line))
@@ -152,15 +154,15 @@ def _bulk_rows(text: str, fields: str, width: int) -> np.ndarray | None:
     each separator a space; None wherever they may differ from the line parse."""
     if not fields.strip():  # nothing to parse, and loadtxt would warn
         return None
-    lines = fields.splitlines()
+    lines = _lines(fields)
     try:
         rows = np.loadtxt(lines, ndmin=2, comments=None)
     except ValueError:  # a bad line, or a field only float accepts
         return None
     if rows.shape[1] != width or not np.isfinite(rows).all():
         return None
-    # loadtxt skips the lines without a field; each must be blank in ``text``
-    if len(rows) < len(lines) and len(rows) != sum(1 for line in text.splitlines() if line.strip()):
+    # one row per line, or per non-blank line of ``text`` (loadtxt skips the lines without a field)
+    if len(rows) != len(lines) and len(rows) != sum(1 for line in _lines(text) if line.strip()):
         return None
     return rows
 

@@ -25,10 +25,8 @@ only for display.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
-import re
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -37,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequ
 
 import fusebench as fb
 
-from .errors import FusebenchError, NonPositiveScoreError, _reading
+from .errors import FusebenchError, NonPositiveScoreError, _lines, _reading
 
 if TYPE_CHECKING:
     from .analysis import EvaluationReport
@@ -192,6 +190,11 @@ def _fmt_rank(v: float) -> str:
     return f"{int(v)}" if float(v).is_integer() else f"{v:.1f}"
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one RFC 4180 csv cell: quoted if it holds a comma, a quote or a break :func:`_lines` reads."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def _table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     rows = list(rows)
     widths = [len(h) for h in headers]
@@ -281,7 +284,7 @@ def _balanced_cells(t: BalancedIndicatorTable, fmt: str):
     ]
     if fmt == "csv":
         return ["benchmark", "rgbt", "rgb", "tir", "gap_fusion", "rank_fusion",
-                "gap_modality", "rank_modality", "mean_rank"], rows
+                "gap_modality", "rank_modality", "mean_rank"], [[_csv_cell(c[0]), *c[1:]] for c in rows]
     headers = ["benchmark", "RGBT", "RGB", "TIR", "(1-TIR/RGBT)/%", "(1-TIR/RGB)/%", "mRank"]
     return headers, [[*c[:4], f"{c[4]} ({c[5]})", f"{c[6]} ({c[7]})", c[8]] for c in rows]
 
@@ -340,21 +343,20 @@ def _parse_trace(head: dict, records: Iterable[dict]) -> SelectionTrace:
 
 
 class _Schema(NamedTuple):
-    """One report type, rendered to every format from these three functions."""
+    """One report type, rendered to every format from these three functions;
+    every csv is these cells joined by commas, quoted as ``cells`` made them."""
 
     cls: str  # the report class, an attribute of the package
     type: str  # the json-lines header's "type"
     records: Callable  # report -> (header fields, json-lines records), full precision
     cells: Callable  # (report, "csv" | "pretty-table") -> (headers, iterable of rows of cells)
     parse: Callable  # (header, iterator over records) -> report; reads header fields first
-    quoted: bool = False  # a csv cell may need quoting (free-text names); else rows are joined
 
 
 _SCHEMAS = (
     _Schema("Curve", "curve", _curve_records, _curve_cells, _parse_curve),
     _Schema("EvaluationReport", "evaluation-report", _evaluation_records, _evaluation_cells, _parse_evaluation),
-    _Schema("BalancedIndicatorTable", "balanced-table", _balanced_records, _balanced_cells, _parse_balanced,
-            quoted=True),
+    _Schema("BalancedIndicatorTable", "balanced-table", _balanced_records, _balanced_cells, _parse_balanced),
     _Schema("ScenarioReport", "scenario-report", _scenario_records, _scenario_cells, _parse_scenario),
     _Schema("SelectionTrace", "selection-trace", _trace_records, _trace_cells, _parse_trace),
 )
@@ -386,12 +388,8 @@ def export_report(
         head, records = schema.records(report)
         return "\n".join(map(_jline, chain([{"type": schema.type, **head}], records))) + "\n"
     headers, rows = schema.cells(report, fmt)
-    if fmt == "csv" and not schema.quoted:
-        return "".join(",".join(row) + "\n" for row in chain([headers], rows))
     if fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(chain([headers], rows))
-        return buf.getvalue()
+        return "".join(",".join(row) + "\n" for row in chain([headers], rows))
     return _table(headers, rows)
 
 
@@ -403,9 +401,7 @@ def parse_report(
     Malformed input raises :class:`FusebenchError`, naming the line at fault
     when there is one.
     """
-    # only \r\n, \r and \n end a line: json holds none of them raw, but may
-    # hold U+2028 and the other breaks of ``str.splitlines`` in a string
-    lines = [(n, line) for n, line in enumerate(re.split(r"\r\n?|\n", text), 1) if line.strip()]
+    lines = [(n, line) for n, line in enumerate(_lines(text), 1) if line.strip()]
     at = None
 
     def objects():

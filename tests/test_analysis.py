@@ -244,10 +244,11 @@ TIED_TRACE = SelectionTrace(
 
 class TestExport:
     def test_csv_quotes_cells(self):
-        table = balanced_indicators([("A,B", 3.0, 2.0, 1.0), ('C "x"', 4.0, 3.5, 1.0)])
-        rows = list(csv.reader(export_report(table, "csv").splitlines()))
-        assert [len(r) for r in rows] == [9, 9, 9]
-        assert [r[0] for r in rows[1:]] == ["A,B", 'C "x"']
+        names = ["A,B", 'C "x"', "D\nE", "F\rG", "H\r\nI"]
+        table = balanced_indicators([(name, 3.0 + i, 2.0, 1.0) for i, name in enumerate(names)])
+        rows = list(csv.reader(io.StringIO(export_report(table, "csv"), newline="")))
+        assert [len(r) for r in rows] == [9] * 6
+        assert [r[0] for r in rows[1:]] == names
 
     def test_curve_csv_has_one_row_per_point(self):
         grid = tuple(np.linspace(0, 1, 21))
@@ -344,7 +345,6 @@ class TestExport:
         ]
         for report in reports:
             [schema] = [s for s in report_module._SCHEMAS if s.cls == type(report).__name__]
-            assert not schema.quoted
             headers, rows = schema.cells(report, "csv")
             buf = io.StringIO()
             csv.writer(buf, lineterminator="\n").writerows([headers, *rows])

@@ -421,12 +421,14 @@ class TestAnalyze:
 
     def test_csv_quotes_names(self, tmp_path):
         path = tmp_path / "scores.csv"
-        path.write_text('benchmark,rgbt,rgb,tir\n"A,B",3.0,2.0,1.0\n"C ""x""",4.0,3.5,1.0\n')
-        proc = run_cli("analyze", str(path), "--format", "csv")
+        path.write_bytes(b'benchmark,rgbt,rgb,tir\n"A,B",3.0,2.0,1.0\n"C ""x""",4.0,3.5,1.0\n"A\rB",5,4,1\n')
+        # bytes: text mode would read the \r as a \n
+        proc = subprocess.run([sys.executable, "-m", "fusebench", "analyze", str(path), "--format", "csv"],
+                              capture_output=True)
         assert proc.returncode == 0, proc.stderr
-        rows = list(csv.reader(proc.stdout.splitlines()))
-        assert [len(r) for r in rows] == [9, 9, 9]
-        assert [r[0] for r in rows[1:]] == ["A,B", 'C "x"']
+        rows = list(csv.reader(io.StringIO(proc.stdout.decode(), newline="")))
+        assert [len(r) for r in rows] == [9, 9, 9, 9]
+        assert [r[0] for r in rows[1:]] == ["A,B", 'C "x"', "A\rB"]
 
     def test_single_row_ranks(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -465,13 +467,26 @@ class TestAnalyze:
         ("\nbenchmark,rgbt,rgb,tir\n\nA,1,2,3\n\nB,1,x,3\n", "line 6: scores must be numbers"),
         # a cell the csv reader refuses to read
         (_OVERSIZED_CELL_TABLE, "line 3: field larger than field limit (131072)"),
-    ], ids=["after-two-line-name", "two-line-record", "blank-lines", "oversized-cell"])
+        # U+2028 ends no line, in a score table as in every text input
+        ('benchmark,rgbt,rgb,tir\n"A\u2028B",1,2,3\nB,1,x,3\n', "line 3: scores must be numbers"),
+    ], ids=["after-two-line-name", "two-line-record", "blank-lines", "oversized-cell", "unicode-break-in-name"])
     def test_error_names_the_physical_line(self, tmp_path, text, error):
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode())
         proc = run_cli("analyze", str(path))
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.splitlines() == [f"error: {path}: {error}"]
+
+    def test_expectation_of_no_output_exits_one(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(self.TABLE)
+        proc = run_cli("analyze", str(path), "--expect", "nosuch=1")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "expect nosuch: no such output (have: GTOT.gap_fusion, GTOT.gap_modality, GTOT.mean_rank, "
+            "GTOT.rank_fusion, GTOT.rank_modality, MV-RGBT.gap_fusion, MV-RGBT.gap_modality, "
+            "MV-RGBT.mean_rank, MV-RGBT.rank_fusion, MV-RGBT.rank_modality)"
+        ]
 
     def test_headerless_input(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -607,18 +622,38 @@ MALFORMED_INPUTS = {
         ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
             d["manifest"], json.dumps({"sequences": {"id": "seq0", "groundtruth": "gt/seq0.txt"}})))],
         d["manifest"]),
+    "manifest is a list": lambda d: (
+        ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(d["manifest"], "[]"))], d["manifest"]),
+    "manifest sequence entry is a string": lambda d: (
+        ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
+            d["manifest"], json.dumps({"sequences": ["seq0"]})))], d["manifest"]),
+    "manifest sequence entry without groundtruth": lambda d: (
+        ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
+            d["manifest"], json.dumps({"sequences": [{"id": "seq0"}]})))], d["manifest"]),
     "groundtruth not UTF-8": lambda d: (
         ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"])],
         _write(d["gt"] / "seq1.txt", b"1,2,3,4\n\xff\xfe\n")),
     "groundtruth bad line": lambda d: (
         ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"])],
         _write(d["gt"] / "seq1.txt", "1,2,3,4\n1,2,x,4\n")),
+    "groundtruth bad line after a line ending in U+2028": lambda d: (
+        ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"])],
+        _write(d["gt"] / "seq1.txt", "1,2,3,4\u2028\n1,2,x,4\n".encode()), "line 2"),
     "predictions not UTF-8": lambda d: (
         ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"])],
         _write(d["results"] / "seq2.txt", b"\xe9\n")),
     "prediction file shorter than its groundtruth": lambda d: (
         ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"])],
         _write(d["results"] / "seq1.txt", "1,2,3,4\n")),
+    "config is a list": lambda d: (
+        ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"]),
+         "--config", str(_write(d["root"] / "cfg.json", "[1]"))], d["root"] / "cfg.json"),
+    "evaluate given a scenario config": lambda d: (
+        ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"]),
+         "--config", str(_write(d["root"] / "cfg.json", json.dumps({"kind": "scenario"})))], d["root"] / "cfg.json"),
+    "simulate given a metrics config": lambda d: (
+        ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(d["root"] / "cfg.json", "{}"))],
+        d["root"] / "cfg.json"),
     "metrics config of the wrong type": lambda d: (
         ["evaluate", "--manifest", str(d["manifest"]), "--results", str(d["results"]),
          "--config", str(_write(d["root"] / "cfg.json", json.dumps({"success_thresholds": 5})))],
@@ -658,6 +693,9 @@ MALFORMED_INPUTS = {
         d["root"] / "t.csv"),
     "score table cell past the csv field limit on a later line": lambda d: (
         ["analyze", str(_write(d["root"] / "t.csv", _OVERSIZED_CELL_TABLE))], d["root"] / "t.csv", "line 3"),
+    "score table header names an unknown column": lambda d: (
+        ["analyze", str(_write(d["root"] / "t.csv", "benchmark,rgbt,rgb,x\nA,1,2,3\n"))],
+        d["root"] / "t.csv", "line 1"),
     "score table bad line": lambda d: (
         ["analyze", str(_write(d["root"] / "t.csv", "benchmark,rgbt,rgb,tir\nA,1,2\n"))],
         d["root"] / "t.csv"),
@@ -707,6 +745,10 @@ MALFORMED_INPUTS = {
         ["simulate", "--out", str(d["root"] / "out"), "--config", str(_write(d["root"] / "cfg.json", json.dumps(
             {"kind": "scenario", "n_sequences": 2, "n_frames": 50, "rgb": {"sigma_in": 1e306}})))],
         d["root"] / "cfg.json"),
+    "fuse rgb stream is missing": lambda d: (
+        ["fuse", "--out", str(d["root"] / "fused.txt"), "--rgb", str(d["root"] / "none.txt"),
+         "--tir", str(_empty_stream(d["root"])), "--rgbt", str(d["root"] / "empty.txt")],
+        d["root"] / "none.txt"),
     "fuse stream is empty": lambda d: (
         ["fuse", "--out", str(d["root"] / "fused.txt"), "--rgb", str(_empty_stream(d["root"])),
          "--tir", str(d["root"] / "empty.txt"), "--rgbt", str(d["root"] / "empty.txt")],

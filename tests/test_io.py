@@ -345,7 +345,7 @@ def reference_parse_boxes(text):
     """Line-by-line reference parser: fields split on runs of commas and
     whitespace, blank lines skipped, all-zero rows absent."""
     rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(re.split(r"\r\n?|\n", text), start=1):
         if not line.strip():
             continue
         parts = [p for p in re.split(r"[,\s]+", line.strip()) if p]
@@ -428,6 +428,10 @@ class TestBulkParser:
             "1,1,-1,1\n1,2,3\n", "NegativeExtentError", "line 1: negative extent w=-1.0, h=1.0", 1),
         "first of two errors: value, then extent": (
             "1,1,1,1\n1,nan,1,1\n1,1,-1,1\n", "MalformedLineError", "line 2: non-finite value: 'nan'", 2),
+        # only \r\n, \r and \n end a line; the other breaks of str.splitlines are whitespace
+        **{f"two rows on one line split by U+{ord(c):04X}": (
+            f"1,1,5,5{c}2,2,5,5\n", "MalformedLineError", "line 1: expected 4 fields, got 8", 1)
+           for c in "\v\f\x1c\x85\u2028"},
     }
 
     @pytest.mark.parametrize("parse", [fio.parse_groundtruth, fio.parse_predictions])
@@ -442,6 +446,8 @@ class TestBulkParser:
         "trailing comma": ("0.5\n0.25,\n", "line 2: not a number: '0.25,'"),
         "nan": ("0.5\nnan\n", "line 2: non-finite confidence: 'nan'"),
         "inf": ("inf\n0.5\n", "line 1: non-finite confidence: 'inf'"),
+        "line ending in U+2028": ("0.5\u2028\nx\n", "line 2: not a number: 'x'"),
+        "line ending in a form feed": ("0.5\f\nx\n", "line 2: not a number: 'x'"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_SIDECARS))
