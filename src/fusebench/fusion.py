@@ -10,7 +10,8 @@ order (fused expert first by default).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class TiePolicy:
         """Parse either a preset name ("rgbt-first") or an explicit order
         ("rgbt,tir,rgb")."""
         presets = {
-            "rgbt-first": (Expert.RGBT, Expert.TIR, Expert.RGB),
+            "rgbt-first": cls.order,  # the default
             "tir-first": (Expert.TIR, Expert.RGBT, Expert.RGB),
             "rgb-first": (Expert.RGB, Expert.RGBT, Expert.TIR),
         }
@@ -107,7 +108,6 @@ class SelectionTrace:
 
     chosen: np.ndarray
     confidences: np.ndarray
-    _records: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         chosen = np.array(self.chosen, dtype=np.intp).reshape(-1)
@@ -135,15 +135,12 @@ class SelectionTrace:
             [(r.cs_rgb, r.cs_tir, r.cs_rgbt) for r in records],
         )
 
-    @property
+    @cached_property
     def records(self) -> tuple[SelectionRecord, ...]:
-        if self._records is None:
-            records = tuple(
-                SelectionRecord(i, EXPERTS[c], row[c], *row)
-                for i, (c, row) in enumerate(zip(self.chosen.tolist(), self.confidences.tolist()))
-            )
-            object.__setattr__(self, "_records", records)
-        return self._records
+        return tuple(
+            SelectionRecord(i, EXPERTS[c], row[c], *row)
+            for i, (c, row) in enumerate(zip(self.chosen.tolist(), self.confidences.tolist()))
+        )
 
     def __iter__(self):
         return iter(self.records)

@@ -295,8 +295,7 @@ def _manifest_entries(path: Path) -> tuple[str, list[dict]]:
                     raise ConfigError(f"sequence entry missing {key!r}")
                 if not isinstance(entry[key], str):
                     raise ConfigError(f"sequence {key} must be a string, got {entry[key]!r}")
-            if entry.get("subset", "none") not in list(Subset):  # list: a tag may be unhashable
-                raise ConfigError(f"unknown subset tag {entry['subset']!r}")
+            Subset(entry.get("subset", "none"))  # an unknown tag is a ConfigError
             sid = entry["id"]
             _check_id(sid)
             if sid in seen:
@@ -352,7 +351,7 @@ def load_expert_stream(path: str | Path, expert: Expert | str) -> ExpertStream:
         raise FileNotFoundError(f"prediction file not found: {path}")
     if not conf_path.is_file():
         raise FileNotFoundError(f"confidence sidecar not found: {conf_path}")
-    return ExpertStream(expert=Expert(expert), predictions=_load_predictions(path, conf_path))
+    return ExpertStream(expert=expert, predictions=_load_predictions(path, conf_path))
 
 
 def load_expert_streams(rgb: str | Path, tir: str | Path, rgbt: str | Path) -> tuple[ExpertStream, ...]:
@@ -399,8 +398,7 @@ def load_config(path: str | Path) -> MetricConfig | ScenarioConfig:
         if kind == "scenario":
             for key in ("rgb", "tir"):
                 if key in raw:
-                    raw[key] = _config(DegradationProfile, raw[key], f"{key} degradation profile",
-                                       target=Expert(key))
+                    raw[key] = _config(DegradationProfile, raw[key], f"{key} degradation profile", target=key)
             if "fused" in raw:
                 raw["fused"] = _config(FusedQualityModel, raw["fused"], "fused quality model")
             return _config(ScenarioConfig, raw, "scenario config")
@@ -408,12 +406,12 @@ def load_config(path: str | Path) -> MetricConfig | ScenarioConfig:
 
 
 # -- bundled scenarios -------------------------------------------------------
+_SCENARIOS = resources.files("fusebench") / "data" / "scenarios"
 
 
 def bundled_scenario_names() -> tuple[str, ...]:
     """Names of the scenario configs shipped with the package."""
-    pkg = resources.files("fusebench") / "data" / "scenarios"
-    return tuple(sorted(p.name[: -len(".json")] for p in pkg.iterdir() if p.name.endswith(".json")))
+    return tuple(sorted(p.name[: -len(".json")] for p in _SCENARIOS.iterdir() if p.name.endswith(".json")))
 
 
 def bundled_scenario(name: str) -> ScenarioConfig:
@@ -422,5 +420,5 @@ def bundled_scenario(name: str) -> ScenarioConfig:
     names = bundled_scenario_names()
     if name not in names:
         raise ConfigError(f"unknown bundled scenario {name!r}; available: {', '.join(names)}")
-    with resources.as_file(resources.files("fusebench") / "data" / "scenarios" / f"{name}.json") as path:
+    with resources.as_file(_SCENARIOS / f"{name}.json") as path:
         return load_config(path)

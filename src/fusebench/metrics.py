@@ -82,14 +82,10 @@ class AbsenceOutcome(Enum):
     WRONG_PREDICTION = "wrong-prediction"
 
 
-def _default_success_thresholds() -> tuple[float, ...]:
-    """21-point overlap grid from 0 to 1 in steps of 0.05."""
-    return tuple(float(t) for t in np.linspace(0.0, 1.0, 21))
-
-
-def _default_precision_thresholds() -> tuple[float, ...]:
-    """51-point pixel grid from 0 to 50 in steps of 1."""
-    return tuple(float(t) for t in np.linspace(0.0, 50.0, 51))
+#: Default grids: 21 overlaps from 0 to 1 in steps of 0.05, 51 pixel
+#: distances from 0 to 50 in steps of 1.
+_SUCCESS_THRESHOLDS = tuple(np.linspace(0.0, 1.0, 21).tolist())
+_PRECISION_THRESHOLDS = tuple(np.linspace(0.0, 50.0, 51).tolist())
 
 
 def _strictly_increasing(values: Sequence[float]) -> bool:
@@ -105,8 +101,8 @@ class MetricConfig:
     convention, with 5 px selectable for GTOT-style data.
     """
 
-    success_thresholds: tuple[float, ...] = field(default_factory=_default_success_thresholds)
-    precision_thresholds: tuple[float, ...] = field(default_factory=_default_precision_thresholds)
+    success_thresholds: tuple[float, ...] = _SUCCESS_THRESHOLDS
+    precision_thresholds: tuple[float, ...] = _PRECISION_THRESHOLDS
     pooling: str = "frame"
     pr_report_threshold: float = 20.0
 

@@ -13,12 +13,14 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DuplicateSequenceIdError,
     FusebenchError,
     LengthMismatchError,
@@ -51,26 +53,31 @@ def _check_lengths(what: str, **lengths: int) -> None:
         raise LengthMismatchError(f"{what}: lengths differ: {listed}")
 
 
-class Expert(str, Enum):
+class _Choice(str, Enum):
+    """A name from a closed set: prints as its value; any other value is a :class:`ConfigError`."""
+
+    def __str__(self) -> str:  # keep file/CLI output free of "Expert."
+        return self.value
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ConfigError(f"{value!r} is not a valid {cls.__name__}")
+
+
+class Expert(_Choice):
     """One of the three tracking experts emitting per-frame predictions."""
 
     RGB = "rgb"
     TIR = "tir"
     RGBT = "rgbt"
 
-    def __str__(self) -> str:  # keep file/CLI output free of "Expert."
-        return self.value
 
-
-class Subset(str, Enum):
+class Subset(_Choice):
     """Modality-dominance tag attached to a sequence."""
 
     RGB_DOMINANT = "rgb"
     TIR_DOMINANT = "tir"
     UNSPECIFIED = "none"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -168,7 +175,6 @@ class FrameColumns:
 
     boxes: np.ndarray
     present: np.ndarray
-    _frames: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         boxes = np.array(self.boxes, dtype=np.float64).reshape(-1, 4)
@@ -205,27 +211,23 @@ class FrameColumns:
         rows, present = self.boxes.tolist(), self.present.tolist()
         return [Box(*row) if p else None for row, p in zip(rows, present)]
 
-    def _make_frames(self) -> tuple:
+    @cached_property
+    def _frames(self) -> tuple:
+        """The per-frame objects, built on first access by each subclass."""
         raise NotImplementedError
-
-    def _objects(self) -> tuple:
-        """The per-frame objects, built on the first call."""
-        if self._frames is None:
-            object.__setattr__(self, "_frames", self._make_frames())
-        return self._frames
 
     def __len__(self) -> int:
         return len(self.present)
 
     def __getitem__(self, index):
-        return self._objects()[index]
+        return self._frames[index]
 
     def __iter__(self):
-        return iter(self._objects())
+        return iter(self._frames)
 
     def __eq__(self, other):
         if isinstance(other, (FrameColumns, tuple, list)):
-            return self._objects() == tuple(other)
+            return self._frames == tuple(other)
         return NotImplemented
 
 
@@ -233,7 +235,8 @@ class FrameColumns:
 class TruthColumns(FrameColumns):
     """Ground-truth frames as columns; yields :class:`FrameTruth`."""
 
-    def _make_frames(self) -> tuple:
+    @cached_property
+    def _frames(self) -> tuple:
         return tuple(FrameTruth(b) for b in self._box_objects())
 
 
@@ -260,7 +263,8 @@ class PredictionColumns(FrameColumns):
         conf = [p.confidence for p in preds]
         return (*super()._columns_of(preds), None if None in conf else conf)
 
-    def _make_frames(self) -> tuple:
+    @cached_property
+    def _frames(self) -> tuple:
         boxes = self._box_objects()
         if self.confidence is None:
             return tuple(FramePrediction(b) for b in boxes)

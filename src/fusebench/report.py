@@ -190,9 +190,9 @@ def _fmt_rank(v: float) -> str:
     return f"{int(v)}" if float(v).is_integer() else f"{v:.1f}"
 
 
-def _csv_cell(text: str) -> str:
-    """``text`` as one RFC 4180 csv cell: quoted if it holds a comma, a quote or a break :func:`_lines` reads."""
-    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+def _label(text: str, fmt: str) -> str:
+    """A free-text label as a cell of ``fmt``: in csv, quoted (RFC 4180) if it holds a comma, a quote or a break."""
+    return '"' + text.replace('"', '""') + '"' if fmt == "csv" and any(c in text for c in ',"\r\n') else text
 
 
 def _table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -252,7 +252,7 @@ def _evaluation_records(r: EvaluationReport):
 def _evaluation_cells(r: EvaluationReport, fmt: str):
     headers = ["part", "sequences", "frames", "pr_at_threshold", "sr_auc"]
     return headers, [
-        [part, str(r.sequence_counts.get(part, "")), str(r.frame_counts.get(part, "")),
+        [_label(part, fmt), str(r.sequence_counts.get(part, "")), str(r.frame_counts.get(part, "")),
          _fmt(s.pr_at_threshold), _fmt(s.sr_auc)]
         for part, s in _eval_parts(r)
     ]
@@ -277,14 +277,14 @@ def _balanced_records(t: BalancedIndicatorTable):
 
 def _balanced_cells(t: BalancedIndicatorTable, fmt: str):
     rows = [
-        [r.benchmark, _fmt_pct(r.rgbt), _fmt_pct(r.rgb), _fmt_pct(r.tir),
+        [_label(r.benchmark, fmt), _fmt_pct(r.rgbt), _fmt_pct(r.rgb), _fmt_pct(r.tir),
          _fmt_pct(r.gap_fusion), _fmt_rank(r.rank_fusion),
          _fmt_pct(r.gap_modality), _fmt_rank(r.rank_modality), _fmt_rank(r.mean_rank)]
         for r in t.rows
     ]
     if fmt == "csv":
         return ["benchmark", "rgbt", "rgb", "tir", "gap_fusion", "rank_fusion",
-                "gap_modality", "rank_modality", "mean_rank"], [[_csv_cell(c[0]), *c[1:]] for c in rows]
+                "gap_modality", "rank_modality", "mean_rank"], rows
     headers = ["benchmark", "RGBT", "RGB", "TIR", "(1-TIR/RGBT)/%", "(1-TIR/RGB)/%", "mRank"]
     return headers, [[*c[:4], f"{c[4]} ({c[5]})", f"{c[6]} ({c[7]})", c[8]] for c in rows]
 
@@ -305,7 +305,7 @@ def _scenario_cells(r: ScenarioReport, fmt: str):
     ratios = [_fmt(v) for v in r.selection_ratios]
     headers = ["policy", "pr_at_threshold", "sr_auc", "ratio_rgb", "ratio_tir", "ratio_rgbt"]
     return headers, [
-        [policy, _fmt(s.pr_at_threshold), _fmt(s.sr_auc), *(ratios if policy == "selection" else ["", "", ""])]
+        [_label(policy, fmt), _fmt(s.pr_at_threshold), _fmt(s.sr_auc), *(ratios if policy == "selection" else ["", "", ""])]
         for policy, s in r.policies.items()
     ]
 

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from enum import Enum
-from functools import partial
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,6 +53,7 @@ from .model import (
     SequenceAnnotation,
     TruthColumns,
     _check_lengths,
+    _Choice,
 )
 
 __all__ = [
@@ -75,7 +74,7 @@ __all__ = [
 POLICIES = ("selection", "always-fuse", "rgb-only", "tir-only", "oracle")
 
 
-class DegradedBehavior(str, Enum):
+class DegradedBehavior(_Choice):
     """What a non-informative modality emits on degraded frames."""
 
     UNIFORM_RANDOM_BOX = "uniform-random-box"
@@ -155,9 +154,9 @@ class ScenarioConfig:
     size_range: tuple[float, float] = (30.0, 60.0)
     motion_step_std: float = 4.0
     seed: int = 0
-    rgb: DegradationProfile = field(default_factory=partial(DegradationProfile, target=Expert.RGB))
-    tir: DegradationProfile = field(default_factory=partial(DegradationProfile, target=Expert.TIR))
-    fused: FusedQualityModel = field(default_factory=FusedQualityModel)
+    rgb: DegradationProfile = DegradationProfile(target=Expert.RGB)
+    tir: DegradationProfile = DegradationProfile(target=Expert.TIR)
+    fused: FusedQualityModel = FusedQualityModel()
 
     def __post_init__(self):
         for name, low in (("n_sequences", 1), ("n_frames", 1), ("seed", 0)):
@@ -381,7 +380,7 @@ def degrade_modality(
     gt: SequenceAnnotation,
     profile: DegradationProfile,
     seed,
-    extent: tuple[float, float] = (640.0, 480.0),
+    extent: tuple[float, float] = ScenarioConfig.extent,
 ) -> ExpertStream:
     """Expert stream for one modality under a degradation profile.
 
@@ -497,9 +496,9 @@ def oracle_best_selection(
 
 
 #: ``run_scenario`` evaluates blocks of as many whole sequences as fit in
-#: this many frames, and at least one. A bigger block saves little time
-#: and raises peak memory (one block for a 100 x 200-frame scenario takes
-#: about a fifth more than 20-sequence blocks).
+#: this many frames, and at least one. The bound is on peak memory: one
+#: block for a 100 x 200-frame scenario is about a fifth faster, mostly in
+#: the trajectory walk, and takes about a fifth more memory (see README).
 _BLOCK_FRAMES = 4096
 
 

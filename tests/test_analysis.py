@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -242,13 +243,32 @@ TIED_TRACE = SelectionTrace(
 )
 
 
+# free-text labels holding a comma, a quote and each line break
+LABELS = ["A,B", 'C "x"', "D\nE", "F\rG", "H\r\nI"]
+
+
+def _labelled_reports() -> dict:
+    """One report per schema, its free-text labels (if any) from :data:`LABELS`."""
+    scenario = run_scenario(ScenarioConfig(n_sequences=2, n_frames=10, seed=1))
+    s = scenario.policies["selection"]
+    return {
+        "curve": s.sr_curve,
+        "evaluation-report": analysis.EvaluationReport(
+            "t", 20.0, s, {n: s for n in LABELS}, {n: 1 for n in LABELS}, {n: 10 for n in LABELS}),
+        "balanced-table": balanced_indicators([(n, 3.0 + i, 2.0, 1.0) for i, n in enumerate(LABELS)]),
+        "scenario-report": dataclasses.replace(scenario, policies={"selection": s, **{n: s for n in LABELS}}),
+        "selection-trace": TIED_TRACE,
+    }
+
+
 class TestExport:
-    def test_csv_quotes_cells(self):
-        names = ["A,B", 'C "x"', "D\nE", "F\rG", "H\r\nI"]
-        table = balanced_indicators([(name, 3.0 + i, 2.0, 1.0) for i, name in enumerate(names)])
-        rows = list(csv.reader(io.StringIO(export_report(table, "csv"), newline="")))
-        assert [len(r) for r in rows] == [9] * 6
-        assert [r[0] for r in rows[1:]] == names
+    @pytest.mark.parametrize("kind", [s.type for s in report_module._SCHEMAS])
+    def test_csv_quotes_cells(self, kind):
+        report = _labelled_reports()[kind]
+        rows = list(csv.reader(io.StringIO(export_report(report, "csv"), newline="")))
+        assert {len(r) for r in rows} == {len(rows[0])}
+        if kind not in ("curve", "selection-trace"):  # the schemas with labels
+            assert [r[0] for r in rows[-len(LABELS):]] == LABELS
 
     def test_curve_csv_has_one_row_per_point(self):
         grid = tuple(np.linspace(0, 1, 21))

@@ -142,7 +142,7 @@ class TestColumns:
     def test_len_builds_no_objects(self):
         seq = SequenceAnnotation(id="s", frames=TruthColumns(np.zeros((5, 4)), np.zeros(5, dtype=bool)))
         assert len(seq) == len(seq.frames) == 5
-        assert seq.frames._frames is None
+        assert "_frames" not in vars(seq.frames)
 
     def test_given_objects_are_kept(self):
         frames = (FrameTruth.present(Box(1, 2, 3, 4)), FrameTruth.absent())
@@ -219,6 +219,18 @@ REJECTED_CALLS = {
     "scenario tir profile": (lambda: ScenarioConfig(tir=DegradationProfile(target="rgb")),
                              ConfigError, "tir profile must target"),
     "number beyond the float range": (lambda: _number("x", 10**400), ConfigError, "must be finite"),
+    # a value outside a choice enum is a toolkit error, named by the enum
+    "subset tag": (lambda: SequenceAnnotation("s", _seq(1).frames, subset="bogus"),
+                   ConfigError, "^'bogus' is not a valid Subset$"),
+    "unhashable subset tag": (lambda: SequenceAnnotation("s", _seq(1).frames, subset=["rgb"]),
+                              ConfigError, r"^\['rgb'\] is not a valid Subset$"),
+    "stream expert": (lambda: ExpertStream("bogus", _stream(Expert.RGB, 1).predictions),
+                      ConfigError, "^'bogus' is not a valid Expert$"),
+    "tie policy expert": (lambda: TiePolicy(("rgb", "tir", "bogus")), ConfigError, "^'bogus' is not a valid Expert$"),
+    "selection record expert": (lambda: SelectionRecord(0, "bogus", 0.5, 0.5, 0.1, 0.1),
+                                ConfigError, "^'bogus' is not a valid Expert$"),
+    "degraded behavior": (lambda: DegradationProfile(behavior="bogus"),
+                          ConfigError, "^'bogus' is not a valid DegradedBehavior$"),
 }
 
 
