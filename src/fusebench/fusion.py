@@ -40,7 +40,7 @@ class TiePolicy:
         order = tuple(Expert(e) for e in self.order)
         object.__setattr__(self, "order", order)
         if sorted(order) != sorted(Expert):
-            raise ConfigError(f"tie policy must order all three experts, got {order}")
+            raise ConfigError(f"tie policy must order all three experts, got {', '.join(order)}")
 
     @classmethod
     def parse(cls, text: str) -> "TiePolicy":
@@ -54,11 +54,8 @@ class TiePolicy:
         key = text.strip().lower()
         if key in presets:
             return cls(presets[key])
-        parts = [p.strip() for p in key.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(f"cannot parse tie policy {text!r}")
         try:
-            return cls(tuple(Expert(p) for p in parts))  # type: ignore[arg-type]
+            return cls(tuple(Expert(p.strip()) for p in key.split(",")))  # type: ignore[arg-type]
         except ValueError as exc:
             raise ConfigError(f"cannot parse tie policy {text!r}: {exc}") from None
 

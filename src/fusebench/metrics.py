@@ -193,9 +193,10 @@ def _one_row(frame: FrameTruth | FramePrediction) -> _Block:
 def iou(g: FrameTruth, p: FramePrediction) -> float:
     """Overlap score totalized over all presence/absence combinations.
 
-    Two present boxes score their intersection over union, clamped to
-    [0, 1], or 0 when the union has no area. Correctly declared absence
-    scores 1; any presence mismatch scores 0.
+    Two present boxes score their intersection over union, in [0, 1] by
+    construction, or 0 when the union is not positive (no area, or an
+    overflowed ``inf - inf``). Correctly declared absence scores 1; any
+    presence mismatch scores 0.
     """
     return float(_frame_values(_one_row(g), _one_row(p))[0][0])
 
@@ -280,8 +281,7 @@ def _frame_values(gt, pred) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     union = g[..., 2] * g[..., 3] + p[..., 2] * p[..., 3] - inter
     positive = union > 0.0
     ratio = np.divide(inter, union, out=np.zeros_like(inter), where=positive)
-    ratio = _py_min(1.0, _py_max(0.0, ratio))
-    iou_values = np.where(both & positive, ratio, np.where(correct_absence, 1.0, 0.0))
+    iou_values = np.where(both, ratio, np.where(correct_absence, 1.0, 0.0))
 
     dx = (g[..., 0] + g[..., 2] / 2.0) - (p[..., 0] + p[..., 2] / 2.0)
     dy = (g[..., 1] + g[..., 3] / 2.0) - (p[..., 1] + p[..., 3] / 2.0)

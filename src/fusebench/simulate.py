@@ -306,13 +306,14 @@ def _stream(expert: Expert, block: _Block) -> ExpertStream:
 
 
 def _calibrated(
-    gt: _Block, boxes: np.ndarray, present: np.ndarray, noise: float, noise_draws: np.ndarray
+    gt: _Block, boxes: np.ndarray, present: np.ndarray, noise_draws: np.ndarray
 ) -> tuple[_Block, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """A stream whose confidences are each frame's overlap against ``gt``
     plus its ``Uniform(-noise, noise)`` draw, clamped to [0, 1], and the
-    stream's :func:`_frame_values` against ``gt``."""
+    stream's :func:`_frame_values` against ``gt``. Without noise the draws
+    are +0.0, and an overlap (never -0.0 or NaN) plus +0.0 is itself."""
     values = _frame_values(gt, _Block(boxes, present))
-    c = values[0] + noise_draws if noise > 0 else values[0]
+    c = values[0] + noise_draws
     return _Block(boxes, present, _py_min(1.0, _py_max(0.0, c))), values
 
 
@@ -363,17 +364,17 @@ def _degrade_block(
     boxes = np.where(informative[..., None], jittered, 0.0)
     if behavior is DegradedBehavior.UNIFORM_RANDOM_BOX:
         boxes[mask] = np.concatenate([d[..., 2:4], ref_size], axis=-1)[mask]
-    else:  # frozen; a drift overwrites each of its runs below
+    else:  # frozen; a drift overwrites the positions of each of its runs below
         last_box = np.where(seen, jittered[seqs, last], start_box)
         boxes[mask] = last_box[mask]
     # a drift starts from the last informative prediction on the first
-    # frame of each degraded run and accumulates its steps left to right
+    # frame of each degraded run, keeps its size (constant over the run, as
+    # no frame in it is informative) and accumulates its steps left to right
     run_seq, at = np.nonzero(np.diff(drifting, axis=1, prepend=False, append=False))
     for s, lo, hi in zip(run_seq[::2].tolist(), at[::2].tolist(), at[1::2].tolist()):
         walk = np.concatenate([last_box[s, lo : lo + 1, :2], d[s, lo:hi, :2]])
         boxes[s, lo:hi, :2] = np.cumsum(walk, axis=0)[1:]
-        boxes[s, lo:hi, 2:] = last_box[s, lo, 2:]
-    return _calibrated(gt, boxes, present | mask, profile.confidence_noise, d[..., 4])
+    return _calibrated(gt, boxes, present | mask, d[..., 4])
 
 
 def degrade_modality(
@@ -442,7 +443,7 @@ def _fuse_block(
     boxes = g.copy()
     boxes[shifted, 0] += (sign * shift)[shifted]
     boxes[shifted, 1] += 0.0  # a shifted box has y + 0.0, which maps -0.0 to 0.0
-    return _calibrated(gt, boxes, present, noise, u[..., 1])
+    return _calibrated(gt, boxes, present, u[..., 1])
 
 
 def synthesize_fused_expert(

@@ -140,6 +140,27 @@ class TestEvaluate:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
 
+    def test_subset_outputs_meet_expectations(self, toy_dataset):
+        manifest = fio.load_manifest(toy_dataset["manifest"])
+        report = compositional_eval(manifest, fio.load_results(manifest, toy_dataset["results"]))
+        argv = ["evaluate", "--manifest", str(toy_dataset["manifest"]), "--results", str(toy_dataset["results"])]
+        for tag, scores in report.subsets.items():
+            argv += ["--expect", f"{tag}.sr_auc={scores.sr_auc!r}",
+                     "--expect", f"{tag}.pr_at_threshold={scores.pr_at_threshold!r}"]
+        assert sorted(report.subsets) == ["rgb", "tir"]
+        code, _, err = _evaluate_in_process(argv)
+        assert (code, err) == (0, "")
+
+    def test_integer_report_threshold_reads_as_a_float(self, toy_dataset):
+        config = _write(toy_dataset["root"] / "cfg.json", json.dumps({"pr_report_threshold": 20}))
+        code, out, err = _evaluate_in_process([
+            "evaluate", "--manifest", str(toy_dataset["manifest"]), "--results", str(toy_dataset["results"]),
+            "--config", str(config), "--format", "json-lines",
+        ])
+        assert (code, err) == (0, "")
+        assert json.loads(out.splitlines()[0])["pr_report_threshold"] == 20.0
+        assert '"pr_report_threshold": 20.0,' in out.splitlines()[0]
+
     def test_deterministic_stdout(self, toy_dataset):
         args = (
             "evaluate", "--manifest", str(toy_dataset["manifest"]),
@@ -359,6 +380,20 @@ class TestFuse:
         )
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("order", ["rgb,rgb,tir", "rgb,tir", "rgb, tir, rgbt, rgb"])
+    def test_bad_tie_order_names_the_experts(self, stream_files, order):
+        tmp_path, paths = stream_files
+        proc = run_cli(
+            "fuse", "--rgb", str(paths["rgb"]), "--tir", str(paths["tir"]),
+            "--rgbt", str(paths["rgbt"]), "--out", str(tmp_path / "f.txt"), "--tie", order,
+        )
+        assert proc.returncode == 3
+        names = ", ".join(name.strip() for name in order.split(","))
+        assert proc.stderr.splitlines() == [
+            f"error: cannot parse tie policy {order!r}: tie policy must order all three experts, got {names}"
+        ]
+        assert not (tmp_path / "f.txt").exists()
+
 
 class TestSimulate:
     def test_matches_library_and_is_deterministic(self, tmp_path):
@@ -488,6 +523,19 @@ class TestAnalyze:
             "MV-RGBT.mean_rank, MV-RGBT.rank_fusion, MV-RGBT.rank_modality)"
         ]
 
+    def test_stdout_report_follows_text_printed_before_it(self, tmp_path):
+        # the report goes to stdout's byte buffer, behind the text a caller
+        # already printed to a block-buffered stdout
+        path = tmp_path / "scores.csv"
+        path.write_text(self.TABLE)
+        code = ("import sys; from fusebench.__main__ import main; print('before'); "
+                "sys.exit(main(['analyze', sys.argv[1], '--format', 'csv']))")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        table = balanced_indicators([("GTOT", 92.9, 84.9, 64.3), ("MV-RGBT", 65.3, 44.0, 39.7)])
+        assert proc.stdout == "before\n" + export_report(table, "csv")
+
     def test_headerless_input(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("GTOT,92.9,84.9,64.3\n")
@@ -613,6 +661,10 @@ MALFORMED_INPUTS = {
     "manifest groundtruth is a number": lambda d: (
         ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
             d["manifest"], json.dumps({"sequences": [{"id": "seq0", "groundtruth": 0}]})))],
+        d["manifest"]),
+    "manifest has an unknown key": lambda d: (
+        ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
+            d["manifest"], json.dumps({"sequences": [{"id": "seq0", "groundtruth": "gt/seq0.txt"}], "tracker": "x"})))],
         d["manifest"]),
     "manifest name is a list": lambda d: (
         ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(

@@ -65,6 +65,17 @@ class TestSelectExpert:
         with pytest.raises(ConfigError, match="all three experts"):
             TiePolicy(order)
 
+    @pytest.mark.parametrize("text,names", [
+        ("rgb,tir", "rgb, tir"),
+        ("rgb,tir,rgbt,rgb", "rgb, tir, rgbt, rgb"),
+        ("RGB, rgb, TIR", "rgb, rgb, tir"),
+    ])
+    def test_parse_needs_each_expert_once(self, text, names):
+        with pytest.raises(ConfigError) as err:
+            TiePolicy.parse(text)
+        reason = f"tie policy must order all three experts, got {names}"
+        assert str(err.value) == f"cannot parse tie policy {text!r}: {reason}"
+
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
             select_expert(float("nan"), 0.0, 0.0)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from fusebench import (
     iou,
     sequence_score,
 )
-from fusebench.metrics import _frame_values
+from fusebench.metrics import _Block, _frame_values
 from conftest import random_benchmark
 from protocol_oracle import (
     ref_benchmark_curves,
@@ -250,6 +251,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             MetricConfig(pr_report_threshold=20.5)
 
+    def test_integer_report_point_is_stored_as_a_float(self):
+        threshold = MetricConfig(pr_report_threshold=20).pr_report_threshold
+        assert type(threshold) is float and repr(threshold) == "20.0"
+
 
 class TestBenchmarkScores:
     def _single(self, frames, preds, **cfg_kwargs):
@@ -427,3 +432,75 @@ class TestNearThreshold:
         )
         assert list(kernel.sr_curve.scores) == scalar_sr == oracle_sr
         assert list(kernel.pr_curve.scores) == scalar_pr == oracle_pr
+
+
+_MAX = sys.float_info.max
+_HALF_MAX_SIDES = (2.0**511, _MAX / 2 / 2.0**511)  # an area of exactly max/2
+
+# name -> two boxes whose overlap sits at an edge of the float arithmetic
+OVERLAP_EDGES = {
+    "zero-area union": (Box(3, 3, 0, 0), Box(3, 3, 0, 0)),
+    "zero-area boxes apart": (Box(0, 0, 0, 5), Box(9, 0, 5, 0)),
+    "inf - inf union": (Box(0, 0, 1e200, 1e200), Box(0, 0, 1e200, 1e200)),
+    "negative-zero widths": (Box(-0.0, 1, -0.0, 4), Box(0.0, 1, -0.0, 4)),
+    "negative-zero width in a box": (Box(0, 0, -0.0, 2), Box(0, 0, 3, 2)),
+    "subnormal area": (Box(0, 0, 1e-160, 1e-160), Box(0, 0, 1e-160, 1e-160)),
+    "smallest subnormal sides": (Box(0, 0, 5e-324, 5e-324), Box(0, 0, 5e-324, 1)),
+    "overlap rounded off the anchor": (Box(0.1, 0, 0.2, 1), Box(0.1, 0, 0.2, 1)),
+    "inter at max/2": (Box(0, 0, *_HALF_MAX_SIDES), Box(0, 0, *_HALF_MAX_SIDES)),
+    "inter just above max/2": (
+        Box(0, 0, _HALF_MAX_SIDES[0], math.nextafter(_HALF_MAX_SIDES[1], math.inf)),
+        Box(0, 0, _HALF_MAX_SIDES[0], math.nextafter(_HALF_MAX_SIDES[1], math.inf)),
+    ),
+    "max/2 inside a larger box": (Box(0, 0, *_HALF_MAX_SIDES), Box(-1, 0, 1e300, _HALF_MAX_SIDES[1])),
+    "far apart at the float range": (Box(-1.7e308, 0, 1.7e308, 1), Box(1.7e308, 0, 1e300, 1)),
+}
+
+# coordinates and sizes that round, overflow or underflow in the overlap
+_EDGE_COORDS = (0.0, -0.0, 5e-324, 1e-300, 0.1, 0.3, 1.0, 3.0, -2.5, 1e16, 1e300, -1e300, 1.7e308, -1.7e308)
+_EDGE_SIZES = (0.0, -0.0, 5e-324, 1e-300, 1e-160, 0.2, 1.0, 7.0, 1e16, *_HALF_MAX_SIDES, 1e300, 1.7e308)
+
+
+def _overlaps_and_oracle(pairs) -> tuple[np.ndarray, list[float]]:
+    rows = np.array([[[b.x, b.y, b.w, b.h] for b in pair] for pair in pairs])
+    present = np.ones(len(pairs), dtype=bool)
+    overlap, _, _ = _frame_values(_Block(rows[:, 0], present), _Block(rows[:, 1], present))
+    return overlap, [ref_overlap_value(P(a), FramePrediction(b)) for a, b in pairs]
+
+
+class TestOverlapRange:
+    """The overlap ratio lies in [+0, 1] without a clamp: each axis overlap
+    is at most the shorter side, so the union is at least the intersection
+    wherever it is positive."""
+
+    @pytest.mark.parametrize("name", sorted(OVERLAP_EDGES))
+    def test_edge_equals_the_oracle_bit_for_bit(self, name):
+        (got,), (want,) = _overlaps_and_oracle([OVERLAP_EDGES[name]])
+        assert 0.0 <= got <= 1.0 and not math.copysign(1.0, got) < 0
+        assert got.tobytes() == np.float64(want).tobytes()
+
+    def test_max_half_edges(self):
+        pairs = [OVERLAP_EDGES["inter at max/2"], OVERLAP_EDGES["inter just above max/2"]]
+        (at, above), _ = _overlaps_and_oracle(pairs)
+        assert (at, above) == (1.0, 0.0)  # above max/2 the area sum overflows to an infinite union
+
+    def test_adversarial_blocks_equal_the_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(28)
+        pairs = [
+            tuple(Box(*rng.choice(_EDGE_COORDS, 2).tolist(), *rng.choice(_EDGE_SIZES, 2).tolist()) for _ in range(2))
+            for _ in range(2000)
+        ]
+        got, want = _overlaps_and_oracle(pairs)
+        assert ((got >= 0.0) & (got <= 1.0) & ~np.signbit(got)).all()
+        assert got.tobytes() == np.array(want).tobytes()
+        assert 0.0 < got.mean() < 1.0 and (got == 1.0).any()
+
+
+class TestSequenceRowsReadOnly:
+    def test_rows_reject_writes(self):
+        rng = np.random.default_rng(5)
+        manifest, results = random_benchmark(rng, n_sequences=3, max_frames=6)
+        scores = benchmark_scores(manifest, results, MetricConfig())
+        for rows in (scores.sequence_sr, scores.sequence_pr, scores.of_sequences([0, 2], MetricConfig()).sequence_sr):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 0.5

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,16 @@ REJECTED_CALLS = {
     "present frame without box": (lambda: FrameTruth.present(None), FusebenchError, "requires a box"),
     "degradation of rgbt": (lambda: DegradationProfile(target="rgbt"), ConfigError, "single modality"),
     "degradation interval": (lambda: DegradationProfile(intervals=[[5, 2]]), IntervalOutOfBoundsError, "bad interval"),
+    "degradation interval before the start": (lambda: DegradationProfile(intervals=[[-1, 5]]),
+                                              IntervalOutOfBoundsError, r"^bad interval \[-1, 5\)$"),
+    "degradation fraction above one": (lambda: DegradationProfile(fraction=math.nextafter(1.0, 2.0)),
+                                       ConfigError, "fraction"),
+    "degradation fraction negative": (lambda: DegradationProfile(fraction=-0.1), ConfigError, "fraction"),
+    "scenario motion step negative": (lambda: ScenarioConfig(motion_step_std=-1), ConfigError, "motion_step_std"),
+    "scenario motion step nan": (lambda: ScenarioConfig(motion_step_std=math.nan), ConfigError, "motion_step_std"),
+    "scenario motion step bool": (lambda: ScenarioConfig(motion_step_std=True), ConfigError, "motion_step_std"),
+    "metric config bool report point": (lambda: MetricConfig(pr_report_threshold=True),
+                                        ConfigError, "pr_report_threshold"),
     "scenario extent": (lambda: ScenarioConfig(extent=(0, 480)), ConfigError, "must be positive"),
     "scenario objects too large": (lambda: ScenarioConfig(extent=(40, 40)), ConfigError, "must fit"),
     "scenario rgb profile": (lambda: ScenarioConfig(rgb=DegradationProfile(target="tir")),

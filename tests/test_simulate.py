@@ -16,11 +16,13 @@ from fusebench import (
     Expert,
     ExpertStream,
     FramePrediction,
+    FrameTruth,
     FusedQualityModel,
     IntervalOutOfBoundsError,
     MetricConfig,
     POLICIES,
     ScenarioConfig,
+    SequenceAnnotation,
     benchmark_scores,
     child_seed,
     degrade_modality,
@@ -252,6 +254,71 @@ class TestDegradeModality:
         assert max(overlaps) > 0.0
         if noise == 2.0:
             assert {0.0, 1.0} <= {p.confidence for p in stream.predictions}
+
+
+def _varied_truth() -> SequenceAnnotation:
+    """A sequence whose target changes size every frame, with absent
+    frames, zero-size boxes and a -0.0 coordinate."""
+    frames = []
+    for i in range(40):
+        if i % 7 == 3:
+            frames.append(FrameTruth.absent())
+        elif i % 11 == 5:
+            frames.append(FrameTruth.present(Box(20.0 + i, 30.0, 0.0, 12.0 * (i % 2))))
+        else:
+            frames.append(FrameTruth.present(Box(20.0 + i, -0.0 if i % 5 == 0 else 30.0, 20.0 + i, 15.0 + i / 2)))
+    return SequenceAnnotation(id="varied", frames=tuple(frames))
+
+
+def _exact_overlaps(gt: SequenceAnnotation, stream: ExpertStream) -> np.ndarray:
+    """The stream's overlaps by the kernel, checked against the flat oracle."""
+    overlaps = metrics._frame_values(gt.frames, stream.predictions)[0]
+    oracle = [ref_overlap_value(g, p) for g, p in zip(gt.frames, stream.predictions)]
+    assert overlaps.tobytes() == np.array(oracle).tobytes()
+    return overlaps
+
+
+class TestExactCalibration:
+    """Without confidence noise a confidence is its frame's overlap, bit for
+    bit; a drift keeps the size of the last informative prediction."""
+
+    @pytest.mark.parametrize("behavior", list(DegradedBehavior))
+    def test_noiseless_confidences_equal_the_overlaps(self, behavior):
+        gt = _varied_truth()
+        profile = DegradationProfile(target=Expert.TIR, fraction=0.5, behavior=behavior, sigma_in=0.05)
+        stream = degrade_modality(gt, profile, seed=41, extent=(120.0, 90.0))
+        overlaps = _exact_overlaps(gt, stream)
+        assert stream.predictions.confidence.tobytes() == overlaps.tobytes()
+        assert {0.0, 1.0} <= set(overlaps.tolist())
+
+    def test_noiseless_fused_confidences_equal_the_overlaps(self):
+        gt = _varied_truth()
+        rgb = degrade_modality(gt, DegradationProfile(target=Expert.RGB, fraction=0.3), seed=42)
+        tir = degrade_modality(gt, DegradationProfile(target=Expert.TIR, fraction=0.3), seed=43)
+        fused = synthesize_fused_expert(rgb, tir, gt, FusedQualityModel(boost=0.1), seed=44)
+        assert fused.predictions.confidence.tobytes() == _exact_overlaps(gt, fused).tobytes()
+
+    def test_drift_keeps_the_last_informative_size(self):
+        gt = _varied_truth()
+        runs = ((0, 2), (8, 14), (30, 40))  # the first run precedes every informative frame
+        profile = DegradationProfile(target=Expert.RGB, intervals=runs, behavior="drifting-box", sigma_in=0.05)
+        stream = degrade_modality(gt, profile, seed=45)
+        boxes = [p.box for p in stream.predictions]
+        degraded = {i for lo, hi in runs for i in range(lo, hi)}
+        for lo, hi in runs:
+            informative = [i for i in range(lo) if gt.frames[i].is_present and i not in degraded]
+            size = gt.frames[informative[-1] if informative else 0].box
+            assert [(b.w, b.h) for b in boxes[lo:hi]] == [(size.w, size.h)] * (hi - lo)
+            assert len({(b.x, b.y) for b in boxes[lo:hi]}) == hi - lo  # the position drifts
+
+    def test_fused_box_maps_a_negative_zero_y_to_zero(self):
+        gt = _varied_truth()
+        rgb = degrade_modality(gt, DegradationProfile(target=Expert.RGB), seed=46)
+        tir = degrade_modality(gt, DegradationProfile(target=Expert.TIR), seed=47)
+        fused = synthesize_fused_expert(rgb, tir, gt, seed=48)
+        negative = [i for i, f in enumerate(gt.frames) if f.is_present and math.copysign(1.0, f.box.y) < 0]
+        assert negative and all(gt.frames[i].box.w > 0 and gt.frames[i].box.h > 0 for i in negative)
+        assert [math.copysign(1.0, fused.predictions[i].box.y) for i in negative] == [1.0] * len(negative)
 
 
 class TestJitterOverflow:
