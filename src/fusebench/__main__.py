@@ -61,9 +61,12 @@ def _check_expectations(args, values: dict[str, float]) -> int:
 
 
 def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 whatever the locale. A name taken from a path
-    that the locale could not decode is written back as its own bytes."""
-    Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
+    """Write ``text`` as UTF-8 whatever the locale, making the parent
+    directories first. A name taken from a path that the locale could not
+    decode is written back as its own bytes."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 def _emit(text: str, out: str | None = None) -> None:

@@ -26,7 +26,6 @@ class EvaluationReport:
     subsets: dict[str, BenchmarkScores] = field(default_factory=dict)
     sequence_counts: dict[str, int] = field(default_factory=dict)
     frame_counts: dict[str, int] = field(default_factory=dict)
-    selection_ratios: tuple[float, float, float] | None = None
 
 
 def subset_manifest(manifest: DatasetManifest, tag: str | Subset) -> DatasetManifest:
@@ -48,7 +47,6 @@ def compositional_eval(
     results: Mapping[str, Sequence[FramePrediction]],
     cfg: MetricConfig | None = None,
     tracker: str = "results",
-    selection_ratios: tuple[float, float, float] | None = None,
 ) -> EvaluationReport:
     """Evaluate overall plus each non-empty modality-dominance subset.
 
@@ -59,11 +57,11 @@ def compositional_eval(
     cfg = cfg or MetricConfig()
     overall = benchmark_scores(manifest, results, cfg)
     tags, lengths = [s.subset for s in manifest.sequences], [len(s) for s in manifest.sequences]
-    return _report(overall, tags, lengths, cfg, tracker, selection_ratios)
+    return _report(overall, tags, lengths, cfg, tracker)
 
 
 def _report(overall: BenchmarkScores, tags: Sequence[Subset], lengths: Sequence[int], cfg: MetricConfig,
-            tracker: str, selection_ratios: tuple[float, float, float] | None = None) -> EvaluationReport:
+            tracker: str) -> EvaluationReport:
     """The report of :func:`compositional_eval` from the overall scores and
     each sequence's subset tag and frame count, in manifest order."""
     subsets: dict[str, BenchmarkScores] = {}
@@ -76,5 +74,4 @@ def _report(overall: BenchmarkScores, tags: Sequence[Subset], lengths: Sequence[
         frame_counts[key] = sum(lengths[i] for i in rows)
         if rows and tag is not Subset.UNSPECIFIED:
             subsets[key] = overall.of_sequences(rows, cfg)
-    return EvaluationReport(tracker, cfg.pr_report_threshold, overall, subsets, sequence_counts, frame_counts,
-                            selection_ratios)
+    return EvaluationReport(tracker, cfg.pr_report_threshold, overall, subsets, sequence_counts, frame_counts)

@@ -69,13 +69,9 @@ def cmd_fuse(args) -> dict[str, float]:
     tie = TiePolicy.parse(args.tie)
     fused, trace = fuse_streams(rgb, tir, rgbt, tie)
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_text(out, fio.write_predictions(fused))
-    _write_text(str(out) + ".conf", fio.write_confidences(fused))
-
-    trace_path = Path(args.trace) if args.trace else Path(str(out) + ".trace.csv")
-    _write_text(trace_path, export_report(trace, "csv"))
+    _write_text(args.out, fio.write_predictions(fused))
+    _write_text(args.out + ".conf", fio.write_confidences(fused))
+    _write_text(args.trace or args.out + ".trace.csv", export_report(trace, "csv"))
 
     r_rgb, r_tir, r_rgbt = selection_ratios(trace)
     _emit(f"selection ratios (rgb, tir, rgbt): {r_rgb:.2f}, {r_tir:.2f}, {r_rgbt:.2f}\n")
@@ -101,7 +97,6 @@ def cmd_simulate(args) -> dict[str, float]:
         report = run_scenario(cfg)
 
     out = Path(args.out)
-    (out / "curves").mkdir(parents=True, exist_ok=True)
     _write_text(out / "summary.csv", export_report(report, "csv"))
     _write_text(out / "report.jsonl", export_report(report, "json-lines"))
     for policy, s in report.policies.items():

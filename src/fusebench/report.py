@@ -244,8 +244,7 @@ def _eval_parts(r: EvaluationReport) -> list[tuple[str, BenchmarkScores]]:
 
 def _evaluation_records(r: EvaluationReport):
     head = {"tracker": r.tracker, "pr_report_threshold": r.pr_report_threshold,
-            "sequence_counts": dict(r.sequence_counts), "frame_counts": dict(r.frame_counts),
-            "selection_ratios": list(r.selection_ratios) if r.selection_ratios else None}
+            "sequence_counts": dict(r.sequence_counts), "frame_counts": dict(r.frame_counts)}
     return head, _scores_records("part", _eval_parts(r))
 
 
@@ -259,13 +258,11 @@ def _evaluation_cells(r: EvaluationReport, fmt: str):
 
 
 def _parse_evaluation(head: dict, records: Iterable[dict]) -> EvaluationReport:
-    ratios = head.get("selection_ratios")
     fields = dict(
         tracker=head["tracker"],
         pr_report_threshold=head["pr_report_threshold"],
         sequence_counts=dict(head["sequence_counts"]),
         frame_counts=dict(head["frame_counts"]),
-        selection_ratios=tuple(ratios) if ratios else None,
     )
     subsets = _parse_scores(records, "part")
     return fb.EvaluationReport(overall=subsets.pop("overall"), subsets=subsets, **fields)

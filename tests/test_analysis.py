@@ -340,6 +340,17 @@ class TestExport:
         for lines in (tir_first, [*tir_first, *night]):
             self._round_trip("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("ratios", ["null", "[0.1, 0.2, 0.7]"])
+    def test_older_evaluation_header_with_selection_ratios_parses(self, ratios):
+        # evaluation headers once carried "selection_ratios"; a parse ignores the key
+        manifest, results = random_benchmark(np.random.default_rng(3), n_sequences=4, max_frames=10)
+        report = compositional_eval(manifest, results)
+        out = export_report(report, "json-lines")
+        head, records = out.split("\n", 1)
+        older = head.removesuffix("}") + f', "selection_ratios": {ratios}}}\n' + records
+        assert parse_report(older) == parse_report(out) == report
+        assert export_report(parse_report(older), "json-lines") == out
+
     @pytest.mark.parametrize("fmt", ["csv", "json-lines", "pretty-table"])
     def test_trace_export_builds_no_selection_record(self, monkeypatch, fmt):
         built = []

@@ -161,6 +161,15 @@ class TestEvaluate:
         assert json.loads(out.splitlines()[0])["pr_report_threshold"] == 20.0
         assert '"pr_report_threshold": 20.0,' in out.splitlines()[0]
 
+    def test_out_into_a_new_directory(self, toy_dataset):
+        argv = ["evaluate", "--manifest", str(toy_dataset["manifest"]), "--results", str(toy_dataset["results"]),
+                "--format", "json-lines"]
+        out = toy_dataset["root"] / "reports" / "new" / "evaluation.jsonl"
+        code, stdout, err = _evaluate_in_process(argv)
+        assert (code, err) == (0, "")
+        assert _evaluate_in_process([*argv, "--out", str(out)]) == (0, "", "")
+        assert out.read_text(encoding="utf-8") == stdout
+
     def test_deterministic_stdout(self, toy_dataset):
         args = (
             "evaluate", "--manifest", str(toy_dataset["manifest"]),
@@ -295,6 +304,18 @@ class TestFuse:
         assert trace[0] == "frame,chosen,cs_rgb,cs_tir,cs_rgbt"
         assert trace[1] == "0,rgbt,0.2,0.5,0.8"
 
+    def test_out_and_trace_into_new_directories(self, stream_files):
+        tmp_path, paths = stream_files
+        out, trace = tmp_path / "out" / "f.txt", tmp_path / "traces" / "t.csv"
+        proc = run_cli(
+            "fuse", "--rgb", str(paths["rgb"]), "--tir", str(paths["tir"]),
+            "--rgbt", str(paths["rgbt"]), "--out", str(out), "--trace", str(trace),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == paths["rgbt"].read_bytes()
+        assert (tmp_path / "out" / "f.txt.conf").read_bytes() == (tmp_path / "rgbt.txt.conf").read_bytes()
+        assert trace.read_text().splitlines()[1] == "0,rgbt,0.2,0.5,0.8"
+
     def test_ratio_output(self, stream_files):
         tmp_path, paths = stream_files
         proc = run_cli(
@@ -414,6 +435,19 @@ class TestSimulate:
         assert (out_a / "report.jsonl").read_text() == export_report(report, "json-lines")
         assert (out_a / "summary.csv").read_text() == export_report(report, "csv")
 
+    def test_outputs_meet_expectations(self, tmp_path):
+        cfg = {"kind": "scenario", "n_sequences": 2, "n_frames": 20, "seed": 22, "rgb": {"fraction": 0.5}}
+        cfg_path = _write(tmp_path / "scenario.json", json.dumps(cfg))
+        report = run_scenario(fio.load_config(cfg_path))
+        argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        for policy, s in report.policies.items():
+            argv += ["--expect", f"{policy}.sr_auc={s.sr_auc!r}",
+                     "--expect", f"{policy}.pr_at_threshold={s.pr_at_threshold!r}"]
+        for name, ratio in zip(("r_rgb", "r_tir", "r_rgbt"), report.selection_ratios):
+            argv += ["--expect", f"{name}={ratio!r}"]
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg_path = tmp_path / "scenario.json"
         cfg_path.write_text(json.dumps({"kind": "scenario", "n_sequences": 2, "n_frames": 15}))
@@ -464,6 +498,13 @@ class TestAnalyze:
         rows = list(csv.reader(io.StringIO(proc.stdout.decode(), newline="")))
         assert [len(r) for r in rows] == [9, 9, 9, 9]
         assert [r[0] for r in rows[1:]] == ["A,B", 'C "x"', "A\rB"]
+
+    def test_out_into_a_new_directory(self, tmp_path):
+        path = _write(tmp_path / "scores.csv", self.TABLE)
+        out = tmp_path / "tables" / "balance.csv"
+        proc = run_cli("analyze", str(path), "--format", "csv", "--out", str(out))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert out.read_text() == run_cli("analyze", str(path), "--format", "csv").stdout
 
     def test_single_row_ranks(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -679,6 +720,12 @@ MALFORMED_INPUTS = {
     "manifest sequence entry is a string": lambda d: (
         ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
             d["manifest"], json.dumps({"sequences": ["seq0"]})))], d["manifest"]),
+    "manifest sequence entry is a number": lambda d: (
+        ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
+            d["manifest"], json.dumps({"sequences": [5]})))], d["manifest"]),
+    "manifest sequence entry is null": lambda d: (
+        ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
+            d["manifest"], json.dumps({"sequences": [None]})))], d["manifest"]),
     "manifest sequence entry without groundtruth": lambda d: (
         ["evaluate", "--results", str(d["results"]), "--manifest", str(_write(
             d["manifest"], json.dumps({"sequences": [{"id": "seq0"}]})))], d["manifest"]),

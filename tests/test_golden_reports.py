@@ -3,8 +3,8 @@
 Each report type (curve, evaluation report, balance table, scenario
 report, selection trace) is exported in ``csv``, ``json-lines`` and
 ``pretty-table`` on fixed inputs, and the full text is pinned. The inputs
-cover evaluations with 0, 1 and 2 subsets, with and without selection
-ratios; balance tables with tied ranks; and a selection trace with exact
+cover evaluations with 0, 1 and 2 subsets, with and without untagged
+sequences; balance tables with tied ranks; and a selection trace with exact
 confidence ties and values such as 1/3 that print differently in full
 precision and at 4 decimals.
 
@@ -47,13 +47,13 @@ PR_TABLE = [
 ]
 
 
-def tagged_evaluation(tags, seed, ratios=None):
+def tagged_evaluation(tags, seed):
     manifest, results = random_benchmark(np.random.default_rng(seed), n_sequences=len(tags), max_frames=12)
     manifest = DatasetManifest(tuple(
         SequenceAnnotation(id=s.id, frames=s.frames, subset=tag)
         for s, tag in zip(manifest.sequences, tags)
     ), name=manifest.name)
-    return compositional_eval(manifest, results, tracker=f"tracker-{seed}", selection_ratios=ratios)
+    return compositional_eval(manifest, results, tracker=f"tracker-{seed}")
 
 
 def reports() -> dict:
@@ -63,11 +63,9 @@ def reports() -> dict:
         "curve linspace": Curve(tuple(np.linspace(0, 1, 11)), tuple(np.linspace(1, 0, 11) ** 3)),
         "curve thirds": Curve((0.0, third, 2 * third, 1.0), (1.0, 2 * third, third, 0.0)),
         "evaluation no subsets": tagged_evaluation([none, none, none], seed=1),
-        "evaluation one subset": tagged_evaluation([rgb, none, rgb], seed=2, ratios=(0.1, 0.2, 0.7)),
+        "evaluation one subset": tagged_evaluation([rgb, none, rgb], seed=2),
         "evaluation two subsets": tagged_evaluation([tir, rgb, none, tir], seed=3),
-        "evaluation two subsets ratios": tagged_evaluation(
-            [rgb, tir, rgb, tir], seed=4, ratios=(third, third, third)
-        ),
+        "evaluation two subsets all tagged": tagged_evaluation([rgb, tir, rgb, tir], seed=4),
         "balanced pr": balanced_indicators(PR_TABLE, metric="PR"),
         "balanced tied": balanced_indicators(
             [("a", 5.0, 5.0, 5.0), ("b", 7.0, 7.0, 7.0), ("c", 10.0, 10.0, 8.0),

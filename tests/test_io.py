@@ -121,6 +121,7 @@ class TestManifest:
         assert man.sequences[1].subset is Subset.TIR_DOMINANT
         assert man.sequences[2].subset is Subset.UNSPECIFIED
         assert all(len(s) == 10 for s in man.sequences)
+        assert fio.load_manifest(str(toy_dataset["manifest"])) == man
 
     def test_duplicate_id(self, tmp_path):
         (tmp_path / "a.txt").write_text("1,1,2,2\n")
@@ -169,6 +170,8 @@ class TestManifest:
         ({"name": [1], "sequences": [{"id": "a", "groundtruth": "a.txt"}]}, "name must be a string, got [1]"),
         ({"sequences": {"id": "a", "groundtruth": "a.txt"}}, "sequences must be a JSON list"),
         ({}, "must list at least one sequence"),
+        ({"sequences": [5]}, "sequence entries must be objects"),
+        ({"sequences": [None]}, "sequence entries must be objects"),
     ])
     def test_wrong_types_rejected(self, tmp_path, manifest, message):
         (tmp_path / "a.txt").write_text("1,1,2,2\n")
@@ -198,7 +201,8 @@ class TestResults:
         (toy_dataset["results"] / "seq1.txt").unlink()
         with pytest.raises(FileNotFoundError) as err:
             fio.load_results(man, toy_dataset["results"])
-        assert "seq1" in str(err.value)
+        path = toy_dataset["results"] / "seq1.txt"
+        assert str(err.value) == f"prediction file for sequence 'seq1' not found: {path}"
 
     @pytest.mark.parametrize("sid", ["../gt/a", "..", "", "a/b"])
     def test_id_that_leaves_the_directory_rejected_before_any_file_is_read(self, tmp_path, monkeypatch, sid):
@@ -215,11 +219,16 @@ class TestResults:
     def test_expert_stream_requires_sidecar(self, tmp_path):
         p = tmp_path / "rgb.txt"
         p.write_text("1,1,2,2\n")
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FileNotFoundError) as err:
             fio.load_expert_stream(p, Expert.RGB)
+        assert str(err.value) == f"confidence sidecar not found: {p}.conf"
         (tmp_path / "rgb.txt.conf").write_text("0.5\n")
         stream = fio.load_expert_stream(p, Expert.RGB)
         assert stream.predictions[0].confidence == 0.5
+        p.unlink()  # a sidecar without its prediction file
+        with pytest.raises(FileNotFoundError) as err:
+            fio.load_expert_stream(p, Expert.RGB)
+        assert str(err.value) == f"prediction file not found: {p}"
 
     def test_short_prediction_file_names_itself(self, toy_dataset):
         man = fio.load_manifest(toy_dataset["manifest"])

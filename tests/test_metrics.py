@@ -29,7 +29,7 @@ from fusebench import (
     iou,
     sequence_score,
 )
-from fusebench.metrics import _Block, _frame_values
+from fusebench.metrics import _Block, _frame_values, _py_max, _py_min
 from conftest import random_benchmark
 from protocol_oracle import (
     ref_benchmark_curves,
@@ -494,6 +494,17 @@ class TestOverlapRange:
         assert ((got >= 0.0) & (got <= 1.0) & ~np.signbit(got)).all()
         assert got.tobytes() == np.array(want).tobytes()
         assert 0.0 < got.mean() < 1.0 and (got == 1.0).any()
+
+
+class TestPythonMaxMin:
+    """``_py_max`` and ``_py_min`` settle a tie as Python's ``max`` and
+    ``min`` do: the first argument wins, so a signed zero keeps its sign."""
+
+    @pytest.mark.parametrize("a,b", [(0.0, -0.0), (-0.0, 0.0), (1.0, 2.0), (2.0, 1.0)])
+    def test_equal_the_builtins_bit_for_bit(self, a, b):
+        for ours, builtin in ((_py_max, max), (_py_min, min)):
+            assert np.float64(ours(a, b)).tobytes() == np.float64(builtin(a, b)).tobytes()
+            assert ours(np.array([a]), np.array([b])).tobytes() == np.float64(builtin(a, b)).tobytes()
 
 
 class TestSequenceRowsReadOnly:

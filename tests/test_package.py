@@ -31,6 +31,23 @@ def test_dir_lists_every_public_name():
     assert {"__version__", "errors", "report"} <= listed
 
 
+def test_dir_lists_every_public_name_before_any_is_used():
+    # in a new interpreter: this module's other tests have cached the names they looked up
+    code = "import fusebench; print(*dir(fusebench))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) >= {n for m in MODULES for n in _public_names(m)} | {"__version__"}
+
+
+def test_io_and_cli_name_their_public_functions():
+    # not re-exported by the package; the benchmark's tracer times each function these lists name
+    from fusebench import cli, io
+
+    assert cli.__all__ == ["main"]
+    assert io.__all__ and all(callable(getattr(io, n)) and getattr(io, n).__module__ == io.__name__
+                              for n in io.__all__)
+
+
 def test_unknown_name_is_an_attribute_error():
     assert not hasattr(fusebench, "no_such_name")
 

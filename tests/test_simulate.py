@@ -399,6 +399,32 @@ class TestSynthesizeFused:
         np.testing.assert_allclose(got, targets, atol=1e-9)
 
 
+    def test_zero_height_frame_makes_no_shift_draw(self):
+        # only a target of positive width and height is shifted, and only it draws a direction
+        box = Box(10.0, 10.0, 8.0, 6.0)
+        fused = []
+        for middle in (FrameTruth.present(Box(10.0, 10.0, 8.0, 0.0)), FrameTruth.absent()):
+            gt = SequenceAnnotation("s", [FrameTruth.present(box), middle, FrameTruth.present(box)])
+            preds = [FramePrediction(f.box, 0.5) for f in gt.frames]
+            rgb, tir = ExpertStream(Expert.RGB, preds), ExpertStream(Expert.TIR, preds)
+            fused.append(synthesize_fused_expert(rgb, tir, gt, FusedQualityModel(boost=0.0), seed=49).predictions)
+        flat, absent = fused
+        assert flat[1].box == Box(10.0, 10.0, 8.0, 0.0)
+        assert [flat[i].box for i in (0, 2)] == [absent[i].box for i in (0, 2)]
+
+    def test_a_draw_of_one_half_shifts_left(self):
+        # the box moves right only for a direction draw below 0.5
+        class Half:
+            def random(self, n):
+                return np.full(n, 0.5)
+
+        gt = SequenceAnnotation("s", [FrameTruth.present(Box(10.0, 10.0, 8.0, 6.0))])
+        q = np.array([[0.5]])
+        no = np.array([[False]])
+        fused, _ = simulate._fuse_block(simulate._row(gt.frames), q, q, no, no, FusedQualityModel(boost=0.0), [Half()])
+        assert fused.boxes[0, 0, 0] == 10.0 - 8.0 * (1.0 - 0.5) / (1.0 + 0.5)
+
+
 class TestOracle:
     def test_exact_stream_wins_everywhere(self):
         traj = generate_trajectory(small_cfg(n_sequences=1), seed=40)
