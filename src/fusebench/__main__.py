@@ -60,20 +60,24 @@ def _check_expectations(args, values: dict[str, float]) -> int:
     return 1 if failed else 0
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 whatever the locale, making the parent
-    directories first. A name taken from a path that the locale could not
-    decode is written back as its own bytes."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", errors="surrogateescape")
+def _write_text(*files: tuple[str | Path, str]) -> None:
+    """Write each ``(path, text)`` as UTF-8 whatever the locale, after making every parent
+    directory: one that cannot be made is named, and no file is written. A name taken from
+    a path that the locale could not decode is written back as its own bytes."""
+    for path, _ in files:
+        try:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise FusebenchError(f"{path}: cannot make its directory: {exc}") from None
+    for path, text in files:
+        Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 def _emit(text: str, out: str | None = None) -> None:
     """Write ``text`` to the file ``out`` or else to stdout, as UTF-8 either
     way (see :func:`_write_text`); a stdout with no byte buffer takes text."""
     if out:
-        _write_text(out, text)
+        _write_text((out, text))
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
         sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape"))

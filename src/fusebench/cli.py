@@ -69,9 +69,11 @@ def cmd_fuse(args) -> dict[str, float]:
     tie = TiePolicy.parse(args.tie)
     fused, trace = fuse_streams(rgb, tir, rgbt, tie)
 
-    _write_text(args.out, fio.write_predictions(fused))
-    _write_text(args.out + ".conf", fio.write_confidences(fused))
-    _write_text(args.trace or args.out + ".trace.csv", export_report(trace, "csv"))
+    _write_text(
+        (args.out, fio.write_predictions(fused)),
+        (args.out + ".conf", fio.write_confidences(fused)),
+        (args.trace or args.out + ".trace.csv", export_report(trace, "csv")),
+    )
 
     r_rgb, r_tir, r_rgbt = selection_ratios(trace)
     _emit(f"selection ratios (rgb, tir, rgbt): {r_rgb:.2f}, {r_tir:.2f}, {r_rgbt:.2f}\n")
@@ -97,11 +99,12 @@ def cmd_simulate(args) -> dict[str, float]:
         report = run_scenario(cfg)
 
     out = Path(args.out)
-    _write_text(out / "summary.csv", export_report(report, "csv"))
-    _write_text(out / "report.jsonl", export_report(report, "json-lines"))
+    files = [(out / "summary.csv", export_report(report, "csv"))]
+    files.append((out / "report.jsonl", export_report(report, "json-lines")))
     for policy, s in report.policies.items():
-        _write_text(out / "curves" / f"{policy}-sr.csv", export_report(s.sr_curve, "csv"))
-        _write_text(out / "curves" / f"{policy}-pr.csv", export_report(s.pr_curve, "csv"))
+        files.append((out / "curves" / f"{policy}-sr.csv", export_report(s.sr_curve, "csv")))
+        files.append((out / "curves" / f"{policy}-pr.csv", export_report(s.pr_curve, "csv")))
+    _write_text(*files)
 
     _emit(export_report(report, "pretty-table"))
     values: dict[str, float] = {}

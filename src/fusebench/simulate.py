@@ -23,6 +23,7 @@ so results do not depend on any execution schedule.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -196,6 +197,57 @@ def child_seed(seed, *keys: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=base.entropy, spawn_key=tuple(base.spawn_key) + keys)
 
 
+def _n_words(x) -> int:
+    """How many 32-bit words ``SeedSequence`` reads from an int or a nested sequence of ints."""
+    return max(1, -(-int(x).bit_length() // 32)) if isinstance(x, (int, np.integer)) else sum(map(_n_words, x))
+
+
+def _hash_constants(init: int, mult: int, start: int, stop: int) -> np.ndarray:
+    """The hash constant of numpy's ``SeedSequence`` after each of ``start`` to ``stop - 1`` steps."""
+    return np.array([init * pow(mult, k, 2**32) % 2**32 for k in range(start, stop)], dtype=np.uint32)
+
+
+def _seed_states(seed, first: Sequence[int], tails: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """The PCG64 seed words of ``child_seed(seed, i, *tail)`` for each tail and each ``i`` of ``first``,
+    shape ``(len(tails), len(first), 4)``: numpy's ``SeedSequence`` on all keys at once, as uint32 columns.
+    The seed's pool holds the words every key shares (the entropy zero-padded to the pool size, and the
+    seed's own spawn key); each key word is hashed and mixed into it, then ``generate_state(4, uint64)``."""
+    if any(not 0 <= k < 2**32 for k in (*first, *(k for tail in tails for k in tail))):
+        raise ValueError("a spawn key derived in bulk must be in [0, 2**32)")
+    base = _seed_sequence(seed)
+    shared, width = max(_n_words(base.entropy), 4) + _n_words(base.spawn_key), max(map(len, tails))
+    padded = np.array([(*tail, *[0] * (width - len(tail))) for tail in tails], np.uint32).reshape(len(tails), width)
+    lengths = np.array([len(tail) for tail in tails])[:, None, None]
+    hashes = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * shared, 4 * (shared + 1 + width) + 1)
+    pool = base.pool
+    for j, w in enumerate([np.array(first, dtype=np.uint32)[:, None], *padded.T[..., None, None]]):
+        h = (w ^ hashes[4 * j : 4 * j + 4]) * hashes[4 * j + 1 : 4 * j + 5]  # 4 hashmix calls, one per pool word
+        r = np.uint32(0xCA01F9DD) * pool - np.uint32(0x4973F715) * (h ^ h >> np.uint32(16))
+        pool = np.where(j <= lengths, r ^ r >> np.uint32(16), pool)  # a shorter key mixes no more words
+    hashes = _hash_constants(0x8B51F9DD, 0x58F38DED, 0, 9)
+    state = (np.concatenate([pool, pool], axis=-1) ^ hashes[:8]) * hashes[1:]
+    return (state ^ state >> np.uint32(16)).astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _given_state() -> type:
+    """The seed sequence of a :func:`_seed_states` row, made on first use: import leaves numpy.random out."""
+
+    class GivenState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return GivenState
+
+
+def _generator(state: np.ndarray) -> np.random.Generator:
+    """``default_rng`` of the seed sequence whose seed words, a row of :func:`_seed_states`, are ``state``."""
+    return np.random.Generator(np.random.PCG64(_given_state()(state)))
+
+
 def generate_trajectory(
     cfg: ScenarioConfig, seed, sequence_id: str | None = None
 ) -> SequenceAnnotation:
@@ -248,15 +300,14 @@ def _draws(
     return out
 
 
-def _trajectory_block(cfg: ScenarioConfig, seeds: Sequence) -> _Block:
-    """:func:`generate_trajectory` of each of ``seeds``, as a block. Each
-    sequence draws its size, start and steps from its own generator; then
-    all sequences walk together, frame by frame, reflecting off the extent
-    (an axis the box fills keeps its centre in the middle)."""
+def _trajectory_block(cfg: ScenarioConfig, rngs: Sequence) -> _Block:
+    """:func:`generate_trajectory` of each of ``rngs`` (generators or seeds),
+    as a block. Each sequence draws its size, start and steps from its own
+    generator; then all sequences walk together, frame by frame, reflecting
+    off the extent (an axis the box fills keeps its centre in the middle)."""
     W, H = cfg.extent
     sizes, starts, steps = [], [], []
-    for seed in seeds:
-        rng = np.random.default_rng(_seed_sequence(seed))
+    for rng in map(np.random.default_rng, rngs):  # a generator is returned as it is
         w, h = rng.uniform(*cfg.size_range, 2).tolist()
         sizes.append((w, h))
         # two scalar calls: one call on two-element arrays takes about four times as long
@@ -265,7 +316,7 @@ def _trajectory_block(cfg: ScenarioConfig, seeds: Sequence) -> _Block:
     size = np.array(sizes)
     low = size / 2.0
     span = (np.array(cfg.extent) - low) - low
-    walk = np.empty((cfg.n_frames, len(seeds), 2))
+    walk = np.empty((cfg.n_frames, len(rngs), 2))
     walk[0] = starts
     with np.errstate(all="ignore"):  # a filled axis folds to NaN; too big a step or extent overflows
         two = 2.0 * span
@@ -279,8 +330,8 @@ def _trajectory_block(cfg: ScenarioConfig, seeds: Sequence) -> _Block:
     return _Block(boxes, np.ones(walk.shape[:2], dtype=bool))
 
 
-def _mask_block(profile: DegradationProfile, n_frames: int, seeds: Iterable, n_seqs: int = 1) -> np.ndarray:
-    """:func:`degraded_mask` of ``n_seqs`` sequences; ``seeds`` is read only if a mask is drawn."""
+def _mask_block(profile: DegradationProfile, n_frames: int, rngs: Iterable, n_seqs: int = 1) -> np.ndarray:
+    """:func:`degraded_mask` of ``n_seqs`` sequences; ``rngs`` (generators or seeds) is read only if drawn."""
     mask = np.zeros((n_seqs, n_frames), dtype=bool)
     if profile.intervals is not None:
         for s, e in profile.intervals:
@@ -290,8 +341,8 @@ def _mask_block(profile: DegradationProfile, n_frames: int, seeds: Iterable, n_s
     elif profile.fraction:
         k = int(round(profile.fraction * n_frames))
         mask[:] = k == n_frames
-        for row, seed in zip(mask, seeds if 0 < k < n_frames else ()):
-            row[np.random.default_rng(_seed_sequence(seed)).choice(n_frames, size=k, replace=False)] = True
+        for row, rng in zip(mask, rngs if 0 < k < n_frames else ()):
+            row[np.random.default_rng(rng).choice(n_frames, size=k, replace=False)] = True
     return mask
 
 
@@ -502,29 +553,32 @@ def oracle_best_selection(
 #: the trajectory walk, and takes about a fifth more memory (see README).
 _BLOCK_FRAMES = 4096
 
+#: the keys of sequence ``i``'s seeds, ``child_seed(root, i, *key)``, in the order ``_scenario_block`` names them
+_SEED_KEYS = ((0,), (1, 0), (1, 1), (2, 0), (2, 1), (3,))
+
 
 def _scenario_block(
-    cfg: ScenarioConfig, root: np.random.SeedSequence, seqs: range, ths: np.ndarray, thp: np.ndarray, pooling: str
+    cfg: ScenarioConfig, states: np.ndarray, ths: np.ndarray, thp: np.ndarray, pooling: str
 ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """The sequences ``seqs`` of a scenario, evaluated as one block.
+    """The sequences whose seed words are ``states`` (:func:`_seed_states` of ``_SEED_KEYS``), as one block.
 
     Returns each policy's per-sequence success and precision rows and the
     number of frames the selection policy gave each expert. Every stream
     draws from its own per-sequence generator, in the same order as
-    :func:`degrade_modality` and :func:`synthesize_fused_expert`. Seeds are
-    :func:`child_seed` of ``root``: ``(i, 0)`` trajectory, ``(i, key, 0)`` mask (built only if
-    drawn) and ``(i, key, 1)`` stream of modality ``key`` (1 rgb, 2 tir), ``(i, 3)`` fused expert.
+    :func:`degrade_modality` and :func:`synthesize_fused_expert`. A mask's
+    generators are built only if it is drawn.
     """
-    gt = _trajectory_block(cfg, [child_seed(root, i, 0) for i in seqs])
+    trajectory, rgb_mask_seeds, rgb_seeds, tir_mask_seeds, tir_seeds, fused_seeds = states
+    gt = _trajectory_block(cfg, [_generator(s) for s in trajectory])
 
-    def modality(key: int, profile: DegradationProfile):
-        mask = _mask_block(profile, cfg.n_frames, (child_seed(root, i, key, 0) for i in seqs), len(seqs))
-        rngs = [np.random.default_rng(child_seed(root, i, key, 1)) for i in seqs]
+    def modality(profile: DegradationProfile, mask_seeds: np.ndarray, stream_seeds: np.ndarray):
+        mask = _mask_block(profile, cfg.n_frames, map(_generator, mask_seeds), len(mask_seeds))
+        rngs = [_generator(s) for s in stream_seeds]
         return mask, *_degrade_block(gt, mask, profile, cfg.extent, rngs)
 
-    rgb_mask, rgb, rgb_values = modality(1, cfg.rgb)
-    tir_mask, tir, tir_values = modality(2, cfg.tir)
-    rngs = [np.random.default_rng(child_seed(root, i, 3)) for i in seqs]
+    rgb_mask, rgb, rgb_values = modality(cfg.rgb, rgb_mask_seeds, rgb_seeds)
+    tir_mask, tir, tir_values = modality(cfg.tir, tir_mask_seeds, tir_seeds)
+    rngs = [_generator(s) for s in fused_seeds]
     fused, fused_values = _fuse_block(gt, rgb_values[0], tir_values[0], rgb_mask, tir_mask, cfg.fused, rngs)
 
     # per value (overlap, distance, correct-absence), one array per expert in EXPERTS order
@@ -550,21 +604,20 @@ def _scenario_block(
 def run_scenario(cfg: ScenarioConfig, metric_cfg: MetricConfig | None = None) -> ScenarioReport:
     """Generate a scenario and evaluate all five policies on it.
 
-    Per-sequence seeds are derived statelessly from the master seed, so the
-    result is byte-reproducible and independent of evaluation order. The
+    Per-sequence seeds are derived statelessly from the master seed, in one
+    pass, so the result is byte-reproducible and independent of order. The
     sequences are evaluated in blocks of whole sequences (see
     :data:`_BLOCK_FRAMES`); the report equals evaluating them one at a time.
     """
     metric_cfg = metric_cfg or MetricConfig()
     ths = np.asarray(metric_cfg.success_thresholds)
     thp = np.asarray(metric_cfg.precision_thresholds)
-    root = np.random.SeedSequence(cfg.seed)
+    states = _seed_states(cfg.seed, range(cfg.n_sequences), _SEED_KEYS)
     per_block = max(1, _BLOCK_FRAMES // cfg.n_frames)
     rows: dict[str, tuple[list, list]] = {p: ([], []) for p in POLICIES}
     chosen_counts = np.zeros(len(EXPERTS), dtype=np.int64)
     for first in range(0, cfg.n_sequences, per_block):
-        seqs = range(first, min(first + per_block, cfg.n_sequences))
-        curves, counts = _scenario_block(cfg, root, seqs, ths, thp, metric_cfg.pooling)
+        curves, counts = _scenario_block(cfg, states[:, first : first + per_block], ths, thp, metric_cfg.pooling)
         chosen_counts += counts
         for p, (sr, pr) in curves.items():
             rows[p][0].append(sr)

@@ -433,3 +433,48 @@ class TestParseReportRejectsMalformedInput:
     def test_a_report_constructors_error_keeps_its_class(self):
         with pytest.raises(ConfigError, match="^report: malformed report: curve thresholds"):
             parse_report(self.CASES["curve-not-increasing"][0])
+
+
+class TestLoadScoreTableRejectsMalformedRows:
+    """``report.load_score_table`` in process, with the messages that the
+    ``analyze`` cases of ``tests/test_cli.py`` pin after ``error: ``."""
+
+    CASES = {
+        "nan-score": ("benchmark,rgbt,rgb,tir\nok,3,2,1\nA,nan,1,1\n", "line 3: rgbt score must be positive, got nan"),
+        "inf-score": ("benchmark,rgbt,rgb,tir\nok,3,2,1\nA,1,inf,1\n", "line 3: rgb score must be positive, got inf"),
+        "zero-score": ("benchmark,rgbt,rgb,tir\nok,3,2,1\nA,1,1,0\n", "line 3: tir score must be positive, got 0.0"),
+        "negative-score": ("benchmark,rgbt,rgb,tir\nbad,9,-8,7\n", "line 2: rgb score must be positive, got -8.0"),
+        "after-two-line-name": ('benchmark,rgbt,rgb,tir\n"A\nB",1,2,3\nB,1,x,3\n', "line 4: scores must be numbers"),
+        "two-line-record": ('benchmark,rgbt,rgb,tir\n"A\nB",1,x,3\n', "line 2: scores must be numbers"),
+        "blank-lines": ("\nbenchmark,rgbt,rgb,tir\n\nA,1,2,3\n\nB,1,x,3\n", "line 6: scores must be numbers"),
+        # U+2028 ends no line
+        "unicode-break-in-name": ('benchmark,rgbt,rgb,tir\n"A\u2028B",1,2,3\nB,1,x,3\n',
+                                  "line 3: scores must be numbers"),
+        "header-after-a-row": ("\nA,2,1,1\nbenchmark,rgbt,rgb,tir\n", "line 3: scores must be numbers"),
+        "cell-past-field-limit": ("benchmark,rgbt,rgb,tir\n" + "A" * 131_073 + ",1,2,3\n",
+                                  "line 2: field larger than field limit (131072)"),
+        "cell-past-field-limit-later": ("benchmark,rgbt,rgb,tir\nok,3,2,1\n" + "A" * 200_000 + ",1,2,3\n",
+                                        "line 3: field larger than field limit (131072)"),
+        "unknown-column": ("benchmark,rgbt,rgb,x\nA,1,2,3\n", "line 1: header must be benchmark,rgbt,rgb,tir"),
+        "three-columns": ("benchmark,rgbt,rgb,tir\nA,1,2\n", "line 2: expected 4 columns, got 3"),
+        "score-not-a-number": ("benchmark,rgbt,rgb,tir\nA,1,x,1\n", "line 2: scores must be numbers"),
+        "empty": ("", "no benchmark rows"),
+        "header-only": ("benchmark,rgbt,rgb,tir\n", "no benchmark rows"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_error_names_the_file_and_line(self, tmp_path, case):
+        text, message = self.CASES[case]
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(FusebenchError) as info:
+            report_module.load_score_table(path)
+        assert str(info.value) == f"{path}: {message}"
+        assert isinstance(info.value, NonPositiveScoreError) == ("must be positive" in message)
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"benchmark,rgbt,rgb,tir\n\xff,1,2,3\n")
+        with pytest.raises(FusebenchError, match="'utf-8' codec can't decode byte 0xff") as info:
+            report_module.load_score_table(path)
+        assert str(info.value).startswith(f"{path}: ")

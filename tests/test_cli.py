@@ -316,6 +316,19 @@ class TestFuse:
         assert (tmp_path / "out" / "f.txt.conf").read_bytes() == (tmp_path / "rgbt.txt.conf").read_bytes()
         assert trace.read_text().splitlines()[1] == "0,rgbt,0.2,0.5,0.8"
 
+    def test_trace_whose_directory_cannot_be_made_writes_nothing(self, stream_files):
+        # the trace's parent is a file: the error names the trace, and out and its .conf are not written
+        tmp_path, paths = stream_files
+        out, trace = tmp_path / "out.txt", paths["rgb"] / "t.csv"
+        proc = run_cli(
+            "fuse", "--rgb", str(paths["rgb"]), "--tir", str(paths["tir"]),
+            "--rgbt", str(paths["rgbt"]), "--out", str(out), "--trace", str(trace),
+        )
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {trace}: "), proc.stderr
+        assert not out.exists() and not (tmp_path / "out.txt.conf").exists()
+
     def test_ratio_output(self, stream_files):
         tmp_path, paths = stream_files
         proc = run_cli(
@@ -459,6 +472,20 @@ class TestSimulate:
     def test_unknown_config_exits_three(self, tmp_path):
         proc = run_cli("simulate", "--config", "no-such-scenario", "--out", str(tmp_path / "o"))
         assert proc.returncode == 3
+
+    def test_curves_directory_that_cannot_be_made_writes_nothing(self, tmp_path):
+        # a file named curves: the error names a curve, and the summary and report are not written
+        cfg = {"kind": "scenario", "n_sequences": 1, "n_frames": 5}
+        cfg_path = _write(tmp_path / "scenario.json", json.dumps(cfg))
+        out = tmp_path / "out"
+        out.mkdir()
+        _write(out / "curves", "")
+        proc = run_cli("simulate", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        curve = out / "curves" / "selection-sr.csv"
+        assert len(lines) == 1 and lines[0].startswith(f"error: {curve}: "), proc.stderr
+        assert [p.name for p in out.iterdir()] == ["curves"]
 
     @pytest.mark.parametrize("text", ["{nope", json.dumps({"kind": "metrics"})], ids=["not-json", "metrics"])
     def test_missing_path_beside_a_json_file_exits_three(self, tmp_path, text):
@@ -957,6 +984,16 @@ class TestStartup:
         modules = _imported_modules(proc.stderr)
         assert "fusebench.report" in modules
         assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+
+    def test_importing_the_commands_imports_no_numpy_random(self):
+        # the simulator derives its seeds with numpy.random only when it runs: importing it
+        # at import time would move its cost out of the commands and raise evaluate's memory
+        code = ("import sys, numpy; before = 'numpy.random' in sys.modules; import fusebench.cli; "
+                "print(before, 'numpy.random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        assert after == before  # False, unless this numpy imports numpy.random with itself
 
     def test_module_run_loads_the_front_door_once(self, stream_files):
         # ``-m fusebench`` runs fusebench/__main__.py as __main__; importing

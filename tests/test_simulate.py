@@ -531,22 +531,26 @@ class TestRunScenario:
         ("mmw-one-modality-dead", 4),  # fraction 1.0: every frame is degraded, no mask is drawn
         ("two-drawn-masks", 6),
     ])
-    def test_builds_four_seeds_per_sequence_and_one_per_drawn_mask(self, monkeypatch, name, per_sequence):
+    def test_builds_one_seed_sequence_and_a_generator_per_stream_and_drawn_mask(self, monkeypatch, name, per_sequence):
         cfg = small_cfg(
             rgb=DegradationProfile(target=Expert.RGB, fraction=0.3),
             tir=DegradationProfile(target=Expert.TIR, fraction=0.6),
         ) if name == "two-drawn-masks" else fio.bundled_scenario(name)
-        built = []
+        built = {"SeedSequence": 0, "PCG64": 0}
 
-        class CountingSeedSequence(np.random.SeedSequence):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
+        def counting(cls):
+            class Counting(cls):
+                def __init__(self, *args, **kwargs):
+                    built[cls.__name__] += 1
+                    super().__init__(*args, **kwargs)
+            return Counting
 
-        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        for cls_name in built:
+            monkeypatch.setattr(np.random, cls_name, counting(getattr(np.random, cls_name)))
         run_scenario(cfg)
-        # the root, then per sequence: trajectory, rgb stream, tir stream, fused expert and any drawn mask
-        assert len(built) == 1 + per_sequence * cfg.n_sequences
+        # the root's seed words are derived for every sequence at once; then per sequence a
+        # generator for the trajectory, rgb stream, tir stream, fused expert and any drawn mask
+        assert built == {"SeedSequence": 1, "PCG64": per_sequence * cfg.n_sequences}
 
 
 def test_child_seed_composes_spawn_keys():
@@ -558,6 +562,50 @@ def test_child_seed_composes_spawn_keys():
             assert np.array_equal(child_seed(seed, *keys, *more).generate_state(8), want)
             root = np.random.SeedSequence(seed)
             assert np.array_equal(child_seed(root, *keys, *more).generate_state(8), want)
+
+
+BULK_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200]  # 2**200 has more entropy words than the pool
+
+
+class TestBulkSeedDerivation:
+    """``simulate._seed_states`` is numpy's ``SeedSequence`` run on many keys
+    at once: each row seeds the generator ``default_rng(child_seed(...))`` would."""
+
+    KEYS = [(0,), (7,), (2**32 - 1,), (3, 1), (2**32 - 1, 0), (0, 2**32 - 1), (4, 2, 1), (1, 2**32 - 1, 7)]
+
+    @staticmethod
+    def assert_same_generator(state, want_seed):
+        got, want = simulate._generator(state), np.random.default_rng(want_seed)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(got.bit_generator.random_raw(16), want.bit_generator.random_raw(16))
+
+    @pytest.mark.parametrize("root", [
+        *BULK_SEEDS,
+        pytest.param(np.random.SeedSequence(2**64 + 5, spawn_key=(3, 2**32 - 1)), id="root-with-a-spawn-key"),
+        pytest.param(np.random.SeedSequence(9, spawn_key=(2**40,)), id="root-key-of-two-words"),
+    ], ids=repr)
+    @pytest.mark.parametrize("key", KEYS, ids=repr)
+    def test_one_key_equals_child_seed(self, root, key):
+        states = simulate._seed_states(root, [key[0]], [key[1:]])
+        assert states.shape == (1, 1, 4)
+        self.assert_same_generator(states[0, 0], child_seed(root, *key))
+
+    @pytest.mark.parametrize("seed", BULK_SEEDS)
+    def test_keys_of_mixed_lengths_in_one_pass(self, seed):
+        first = [0, 1, 5, 2**32 - 1]
+        tails = [(0,), (1, 0), (), (2, 1, 2**32 - 1), (3,)]
+        states = simulate._seed_states(seed, first, tails)
+        assert states.shape == (len(tails), len(first), 4)
+        for row, tail in zip(states, tails):
+            for state, i in zip(row, first):
+                self.assert_same_generator(state, child_seed(seed, i, *tail))
+
+    @pytest.mark.parametrize("first,tails", [
+        ([2**32], [()]), ([-1], [()]), ([0], [(2**32,)]), ([0], [(1, -1)]), ([0], [(2**64,)]),
+    ], ids=repr)
+    def test_key_outside_one_word_rejected(self, first, tails):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            simulate._seed_states(0, first, tails)
 
 
 def reference_draws(rngs, used, normal, a, b) -> np.ndarray:
