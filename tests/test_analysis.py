@@ -472,6 +472,12 @@ class TestLoadScoreTableRejectsMalformedRows:
         assert str(info.value) == f"{path}: {message}"
         assert isinstance(info.value, NonPositiveScoreError) == ("must be positive" in message)
 
+    def test_reads_rows_after_an_optional_header_and_blank_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\n benchmark , RGBT,rgb,tir\nGTOT, 92.9,84.9,64.3\n,,,\nMV-RGBT,65.3,44.0,39.7\n")
+        rows = [("GTOT", 92.9, 84.9, 64.3), ("MV-RGBT", 65.3, 44.0, 39.7)]
+        assert report_module.load_score_table(str(path)) == rows
+
     def test_not_utf8_names_the_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"benchmark,rgbt,rgb,tir\n\xff,1,2,3\n")
