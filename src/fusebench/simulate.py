@@ -212,9 +212,9 @@ def _seed_states(seed, first: Sequence[int], tails: Sequence[tuple[int, ...]]) -
     shape ``(len(tails), len(first), 4)``: numpy's ``SeedSequence`` on all keys at once, as uint32 columns.
     The seed's pool holds the words every key shares (the entropy zero-padded to the pool size, and the
     seed's own spawn key); each key word is hashed and mixed into it, then ``generate_state(4, uint64)``."""
-    if any(not 0 <= k < 2**32 for k in (*first, *(k for tail in tails for k in tail))):
-        raise ValueError("a spawn key derived in bulk must be in [0, 2**32)")
-    base = _seed_sequence(seed)
+    base = _seed_sequence(seed)  # child_seed gives every child the default pool size, 4
+    if base.pool_size != 4 or any(not 0 <= k < 2**32 for k in (*first, *(k for tail in tails for k in tail))):
+        raise ValueError("bulk derivation takes spawn keys in [0, 2**32) and a seed whose pool size is 4")
     shared, width = max(_n_words(base.entropy), 4) + _n_words(base.spawn_key), max(map(len, tails))
     padded = np.array([(*tail, *[0] * (width - len(tail))) for tail in tails], np.uint32).reshape(len(tails), width)
     lengths = np.array([len(tail) for tail in tails])[:, None, None]

@@ -607,6 +607,11 @@ class TestBulkSeedDerivation:
         with pytest.raises(ValueError, match="2\\*\\*32"):
             simulate._seed_states(0, first, tails)
 
+    def test_seed_of_another_pool_size_rejected(self):
+        # child_seed's children have a pool of 4 words, whatever the seed's pool size
+        with pytest.raises(ValueError, match="pool size is 4"):
+            simulate._seed_states(np.random.SeedSequence(1, pool_size=8), [0], [()])
+
 
 def reference_draws(rngs, used, normal, a, b) -> np.ndarray:
     """``simulate._draws`` one scalar draw at a time, in frame order."""
