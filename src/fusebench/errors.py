@@ -123,8 +123,9 @@ def _number(name: str, v, low: float = -math.inf, high: float = math.inf, intege
     if not (integer or math.isfinite(v)):
         raise ConfigError(f"{name} must be finite, got {v!r}")
     if not low <= v <= high:
-        bound = f"lie in [{low:g}, {high:g}]" if high < math.inf else (
-            "be non-negative" if low == 0 else f"be at least {low:g}")
+        spec = "" if integer else "g"  # an integer bound is printed exactly
+        bound = f"lie in [{low:{spec}}, {high:{spec}}]" if high < math.inf else (
+            "be non-negative" if low == 0 else f"be at least {low:{spec}}")
         raise ConfigError(f"{name} must {bound}, got {v!r}")
     return v
 

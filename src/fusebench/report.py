@@ -25,6 +25,7 @@ only for display.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from bisect import bisect_left, bisect_right
@@ -142,8 +143,8 @@ def load_score_table(path: str | Path) -> list[tuple[str, float, float, float]]:
     """
     path = Path(path)
     rows: list[tuple[str, float, float, float]] = []
-    with _reading(path), path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _reading(path):  # decoded whole, so a bad byte is named by its offset in the file
+        reader = csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
         first = True  # the first non-blank row may be the header
         while True:
             with _reading(f"line {reader.line_num + 1}"):  # the line the next record starts on

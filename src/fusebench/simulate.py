@@ -160,8 +160,9 @@ class ScenarioConfig:
     fused: FusedQualityModel = FusedQualityModel()
 
     def __post_init__(self):
-        for name, low in (("n_sequences", 1), ("n_frames", 1), ("seed", 0)):
-            object.__setattr__(self, name, _number(name, getattr(self, name), low, integer=True))
+        # each sequence index is a spawn key of _seed_states, which takes keys below 2**32
+        for name, low, high in (("n_sequences", 1, 2**32), ("n_frames", 1, math.inf), ("seed", 0, math.inf)):
+            object.__setattr__(self, name, _number(name, getattr(self, name), low, high, integer=True))
         for name in ("extent", "size_range"):
             object.__setattr__(self, name, _numbers(name, getattr(self, name), 2))
         object.__setattr__(self, "motion_step_std", _number("motion_step_std", self.motion_step_std, 0.0))

@@ -201,6 +201,12 @@ class TestBalancedIndicators:
         with pytest.raises(NonPositiveScoreError):
             balanced_indicators([("bad", 5.0, 0.0, 1.0)])
 
+    @pytest.mark.parametrize("score", ["3", math.inf], ids=["string", "inf"])
+    def test_score_that_is_no_finite_number_rejected(self, score):
+        with pytest.raises(NonPositiveScoreError) as info:
+            balanced_indicators([("bad", score, 2.0, 1.0)])
+        assert str(info.value) == f"bad: rgbt score must be positive, got {score!r}"
+
     positive = st.floats(min_value=0.1, max_value=100.0, allow_nan=False)
 
     @given(
@@ -286,6 +292,19 @@ class TestExport:
         )
         first = text.splitlines()[1]
         assert first == "GTOT,92.9,84.9,64.3,30.8,3,24.3,4,3.5"
+
+    def test_pretty_table_prints_labels_unquoted(self):
+        # only csv quotes a label that holds a comma
+        text = export_report(balanced_indicators([("A,B", 3.0, 2.0, 1.0)]), "pretty-table")
+        assert text.splitlines()[2].split()[0] == "A,B"
+
+    def test_unrelated_class_of_a_report_name_is_not_exported(self):
+        class Curve:  # not fusebench.Curve
+            pass
+
+        with pytest.raises(FusebenchError) as info:
+            export_report(Curve(), "csv")
+        assert str(info.value) == "cannot export object of type Curve"
 
     def test_pretty_table_shows_reference_labels(self):
         text = export_report(balanced_indicators(PR_TABLE), "pretty-table")
@@ -479,8 +498,19 @@ class TestLoadScoreTableRejectsMalformedRows:
         assert report_module.load_score_table(str(path)) == rows
 
     def test_not_utf8_names_the_file(self, tmp_path):
+        # the file is decoded whole before any record: the error names no line
         path = tmp_path / "t.csv"
         path.write_bytes(b"benchmark,rgbt,rgb,tir\n\xff,1,2,3\n")
-        with pytest.raises(FusebenchError, match="'utf-8' codec can't decode byte 0xff") as info:
+        with pytest.raises(FusebenchError) as info:
             report_module.load_score_table(path)
-        assert str(info.value).startswith(f"{path}: ")
+        assert str(info.value) == f"{path}: 'utf-8' codec can't decode byte 0xff in position 23: invalid start byte"
+
+    def test_not_utf8_past_the_first_chunk_names_the_byte_offset_in_the_file(self, tmp_path):
+        # the bad byte is on line 3,002, far past the 8 KB a text stream decodes at a time
+        head = "".join(["benchmark,rgbt,rgb,tir\n", *(f"B{i},3,2,1\n" for i in range(3000))]).encode()
+        path = tmp_path / "t.csv"
+        path.write_bytes(head + b"\xff,1,2,3\n")
+        with pytest.raises(FusebenchError) as info:
+            report_module.load_score_table(path)
+        assert len(head) == 34913
+        assert str(info.value) == f"{path}: 'utf-8' codec can't decode byte 0xff in position 34913: invalid start byte"

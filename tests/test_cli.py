@@ -106,6 +106,14 @@ class TestEvaluate:
         assert proc.returncode == 0
         assert "overall" in proc.stdout  # the restricted manifest is its own benchmark
 
+    def test_subset_offers_no_subset_keys_to_expect(self, toy_dataset):
+        # the restricted manifest is its own benchmark: its scores are the overall ones
+        code, _, err = _evaluate_in_process([
+            "evaluate", "--manifest", str(toy_dataset["manifest"]), "--results", str(toy_dataset["results"]),
+            "--subset", "rgb", "--expect", "rgb.sr_auc=0",
+        ])
+        assert (code, err) == (1, "expect rgb.sr_auc: no such output (have: pr_at_threshold, sr_auc)\n")
+
     def test_pooling_flag_switches_mode(self, toy_dataset):
         manifest = fio.load_manifest(toy_dataset["manifest"])
         results = fio.load_results(manifest, toy_dataset["results"])
@@ -937,6 +945,17 @@ class TestMalformedInputExitsThree:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "motion_step_std" in lines[0], proc.stderr
         assert path.name in lines[0], proc.stderr
+
+    def test_n_sequences_past_the_spawn_keys(self, tmp_path):
+        # rejected at load, naming the exact bound; 400 digits rather than 2**32 + 1, so that a
+        # simulator missing the bound fails at once on a C size instead of building 4.3 billion keys
+        n = 10**400
+        path = _write(tmp_path / "cfg.json", json.dumps({"kind": "scenario", "n_sequences": n, "n_frames": 1}))
+        proc = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: {path}: scenario config: n_sequences must lie in [1, 4294967296], got {n}"]
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_option(self, tmp_path):
         proc = run_cli("simulate", "--config", "common-scenario", "--out", str(tmp_path), "--seed", "-1")

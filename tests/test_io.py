@@ -181,6 +181,13 @@ class TestManifest:
             fio.load_manifest(path)
         assert str(path) in str(err.value) and str(err.value).endswith(message)
 
+    def test_empty_file_lists_no_sequence(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("")
+        with pytest.raises(ConfigError) as err:
+            fio.load_manifest(path)
+        assert str(err.value) == f"{path}: manifest must list at least one sequence"
+
     def test_unknown_key_rejected(self, tmp_path):
         (tmp_path / "a.txt").write_text("1,1,2,2\n")
         path = tmp_path / "m.json"
@@ -292,6 +299,14 @@ class TestConfig:
         assert isinstance(cfg, ScenarioConfig)
         assert cfg.n_sequences == 3
         assert cfg.rgb.fraction == 0.5
+
+    def test_string_fraction_names_its_section(self, tmp_path):
+        # the example of README's "Config"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "scenario", "rgb": {"fraction": "0.5"}}))
+        with pytest.raises(ConfigError) as err:
+            fio.load_config(path)
+        assert str(err.value) == f"{path}: rgb degradation profile: fraction must be a number, got '0.5'"
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -247,6 +247,9 @@ REJECTED_CALLS = {
     "scenario tir profile": (lambda: ScenarioConfig(tir=DegradationProfile(target="rgb")),
                              ConfigError, "tir profile must target"),
     "number beyond the float range": (lambda: _number("x", 10**400), ConfigError, "must be finite"),
+    "scenario with no frames": (lambda: ScenarioConfig(n_frames=0), ConfigError, "^n_frames must be at least 1, got 0$"),
+    "scenario extent that is a string": (lambda: ScenarioConfig(extent="ab"), ConfigError,
+                                         "^extent must be a list of numbers, got 'ab'$"),
     # a value outside a choice enum is a toolkit error, named by the enum
     "subset tag": (lambda: SequenceAnnotation("s", _seq(1).frames, subset="bogus"),
                    ConfigError, "^'bogus' is not a valid Subset$"),

@@ -25,6 +25,12 @@ def test_each_public_name_is_the_package_attribute(module):
     assert missing == []
 
 
+def test_errors_exports_only_toolkit_errors():
+    # a class that errors imports, such as pathlib.Path, is no public name of the package
+    assert errors.__all__ and all(issubclass(getattr(errors, n), errors.FusebenchError) for n in errors.__all__)
+    assert "Path" not in errors.__all__
+
+
 def test_dir_lists_every_public_name():
     listed = set(dir(fusebench))
     assert [n for m in MODULES for n in _public_names(m) if n not in listed] == []

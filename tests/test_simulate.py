@@ -759,6 +759,19 @@ class TestScenarioConfigIntegers:
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
 
+    def test_n_sequences_bounded_by_the_spawn_keys(self):
+        # each sequence index is a spawn key below 2**32; built only, never run
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig(n_sequences=2**32 + 1)
+        assert str(info.value) == "n_sequences must lie in [1, 4294967296], got 4294967297"
+        assert ScenarioConfig(n_sequences=2**32).n_sequences == 2**32
+
+    def test_seed_past_the_float_range_runs(self):
+        cfg = ScenarioConfig(n_sequences=1, n_frames=5, seed=10**400)
+        assert cfg.seed == 10**400
+        report = run_scenario(cfg)
+        assert (report.seed, report.n_sequences, report.n_frames) == (10**400, 1, 5)
+
     def test_large_and_numpy_integers_accepted(self):
         assert ScenarioConfig(seed=99999999999999999999999).seed == 99999999999999999999999
         assert ScenarioConfig(n_frames=np.int64(7)).n_frames == 7
